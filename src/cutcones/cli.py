@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 member/valid/success, 1 non-member/invalid, 2
-inconclusive, 3 usage or input error.  Object-valued outputs (metrics,
-graphs, point sets, certificates) are always emitted in their
-canonical JSON file formats so commands can be piped; verdict output
-honors --format text|json.  Inputs default to stdin ("-").
+inconclusive, 3 usage or input error, 4 internal error (for example a
+certificate that fails its re-check, which must never read as a
+verdict).  Object-valued outputs (metrics, graphs, point sets,
+certificates) are always emitted in their canonical JSON file formats
+so commands can be piped; verdict output honors --format text|json.
+Inputs default to stdin ("-").
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ EXIT_MEMBER = 0
 EXIT_NON_MEMBER = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 def _q(x: Fraction) -> str:
@@ -538,6 +541,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only on this path: it costs start-up time
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,6 +5,13 @@ never through binary floating point), or strings "p/q" with q > 0.
 Written files use integers where possible and "p/q" strings
 otherwise, so every value round-trips bit for bit.
 
+A rational token (a string, or a JSON number with a fraction or an
+exponent) may hold at most MAX_TOKEN_DIGITS digits and a decimal
+exponent of magnitude at most MAX_DECIMAL_EXPONENT; larger tokens are
+rejected before any value is built, since "1e1000000" alone would cost
+a million-digit integer.  Plain JSON integers are left to Python's own
+limit on integer string conversion (4300 digits by default).
+
 Formats:
   metric       {"n": 5, "d": [1, "1/2", ...]}         (lex pair order)
   graph        {"n": 4, "edges": [[1, 2], ...]}
@@ -30,13 +37,33 @@ from cutcones.fullcut import CutCertificate
 from cutcones.metric import Metric, num_pairs
 from cutcones.sig import SimpleGraph
 
+MAX_TOKEN_DIGITS = 4300
+MAX_DECIMAL_EXPONENT = 4300
+
+
+def _check_token_size(token: str) -> None:
+    """Reject a number token too large to build, before building it."""
+    if len(token) > MAX_TOKEN_DIGITS and sum(map(str.isdigit, token)) > MAX_TOKEN_DIGITS:
+        raise ValueError(f"number token has more than {MAX_TOKEN_DIGITS} digits")
+    e = max(token.find("e"), token.find("E"))
+    if e < 0:
+        return
+    try:
+        exponent = int(token[e + 1:])
+    except ValueError:
+        return  # malformed; Fraction rejects it
+    if abs(exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"decimal exponent {exponent} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+        )
+
 
 def parse_rational(value: Any) -> Fraction:
     """Exact rational from an int, Fraction, or string token.
 
     Strings may be "p/q", an integer literal, or a decimal literal;
-    all are parsed exactly.  Floats are rejected: they have already
-    lost the value.
+    all are parsed exactly, within the token size limits.  Floats are
+    rejected: they have already lost the value.
     """
     if isinstance(value, Fraction):
         return value
@@ -45,6 +72,7 @@ def parse_rational(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_token_size(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -68,8 +96,11 @@ def _reject_constant(token: str) -> Any:
 
 
 def loads_json(text: str) -> Any:
-    """json.loads with decimals parsed exactly and NaN/Infinity rejected."""
-    return json.loads(text, parse_float=Fraction, parse_constant=_reject_constant)
+    """json.loads with decimals size-checked and parsed exactly, and
+    NaN/Infinity rejected."""
+    return json.loads(
+        text, parse_float=parse_rational, parse_constant=_reject_constant
+    )
 
 
 def _as_int(v: Any, what: str) -> int:

@@ -1,27 +1,57 @@
 """Exact feasibility oracle for cut-cone membership, plus seeded
 random metric generators for cross-checking the closed forms.
 
-Membership of d in a cone generated by the columns of M is the
-feasibility of M w = d, w >= 0.  That is decided by a phase-I simplex
-on the dense tableau [M | I]: minimize the sum of the artificial
-variables with Bland's anti-cycling rule (smallest-index entering
-column with positive reduced profit; ties in the ratio test broken by
-smallest basis variable).
+Membership of d in the cone generated by the columns of A is the
+feasibility of A w = d, w >= 0.  One phase-I simplex, `_phase_one`,
+decides it: row i gets the artificial column sign(d_i) e_i, the solver
+starts from the basis of artificials and minimizes their sum with
+Bland's anti-cycling rule (the smallest-index column with positive
+reduced profit enters, original columns before artificial ones; ties
+in the ratio test go to the smallest basis variable).
 
-The tableau is kept in integers, fraction-free (Edmonds/Bareiss
-pivoting, as in Avis's lrs): one common scale clears the denominators
-of M and d once, every rational tableau entry is an integer over one
-shared positive denominator (the last pivot element), each pivot
-updates entries by an exact integer division, and the ratio test
-compares quotients by cross-multiplication.  The pivot sequence is the
-one a Fraction tableau would take.  Bland's rule guarantees
-termination, and exact arithmetic makes the verdict a proof once the
-emitted certificate, converted to Fractions, is re-checked:
+The simplex is revised and fraction-free.  Columns are sparse integer
+vectors that are never updated.  The solver keeps only
 
-  * feasible: a nonnegative witness w with M w = d, verified by
-    substitution before returning;
-  * infeasible: a Farkas vector y with y^T M <= 0 and y^T d > 0,
-    read off the optimal reduced costs and verified the same way.
+  * R = denom * B^-1, the m x m basis inverse (the artificial block of
+    the full tableau, up to the signs of its columns);
+  * the basic values denom * B^-1 b;
+  * v = denom * y, the simplex multipliers.
+
+All three are integers over one shared positive denominator, the last
+pivot element (Edmonds/Bareiss pivoting, as in Avis's lrs).  Column
+j's reduced profit is v . A_j, a sparse dot product; only the entering
+column R A_j is formed, each pivot updates R, the basic values and v by
+exact integer divisions, and the ratio test compares quotients by
+cross-multiplication.  The pivots are those a dense Fraction tableau
+[A | I] would take: scaling A and d by positive constants rescales w
+but changes no pivot and no Farkas vector.
+
+There are two callers:
+
+  * lp_feasibility passes the columns of a RationalMatrix, scaled to
+    integers;
+  * cutcone_membership builds the 0/1 cut columns straight from the
+    cut bitmasks, with no cut-matrix.  A cut and its complement give
+    the same column, so it keeps one column per complement pair: the
+    one that comes first in enumerate_cuts order, which makes the kept
+    columns exactly the first 2^(n-1) - 1 cuts.  A dropped column has
+    at every step the reduced profit of its kept twin, which has a
+    smaller index, so Bland's rule would never let it enter (and it
+    is never basic): the pivots and certificates are those over all
+    2^n - 2 columns, and the dropped cuts get witness weight 0.
+
+Bland's rule guarantees termination, and exact arithmetic makes the
+verdict a proof once the certificate, converted to Fractions, has been
+re-checked against the unscaled generators.  Each caller does that
+before it returns, and a failed re-check raises RuntimeError:
+
+  * feasible: a nonnegative witness w with A w = d, checked by
+    substitution; for the cut cone the sum runs over the cut metric
+    vectors of enumerate_cuts, not over the solver's columns;
+  * infeasible: a Farkas vector y with y . A_j <= 0 for every column
+    and y . d > 0, read off the final multipliers; for the cut cone
+    y . delta(S) <= 0 is checked on all 2^(n-1) - 1 cut classes, each
+    rebuilt from its bitmask.
 
 Determinism: identical inputs take identical pivot sequences and
 return identical certificates.
@@ -30,18 +60,29 @@ return identical certificates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations, islice
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
-from cutcones.cut_algebra import RationalMatrix, full_cut_matrix, square_cut_matrix
+from cutcones.cut_algebra import (
+    RationalMatrix,
+    cut_metric_vector,
+    enumerate_cuts,
+    square_cut_matrix,
+)
 from cutcones.metric import Metric, num_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 
 DEFAULT_CUTCONE_MAX_N = 10
 DEFAULT_PAIRCUT_MAX_N = 14
+
+# A sparse integer column: its nonzero rows and their values, with
+# values None when every one of them is 1.
+Column = tuple[tuple[int, ...], tuple[int, ...] | None]
 
 
 @dataclass(frozen=True)
@@ -50,127 +91,129 @@ class FeasibilityResult:
 
     Exactly one of witness / farkas is set: witness is a nonnegative
     column-weight vector with M w = d; farkas is a row functional
-    nonpositive on every column of M and positive on d.
+    nonpositive on every column of M and positive on d.  pivots counts
+    the simplex pivots; it takes no part in equality.
     """
 
     feasible: bool
     witness: tuple[Fraction, ...] | None
     farkas: tuple[Fraction, ...] | None
+    pivots: int = field(default=0, compare=False)
 
 
-def lp_feasibility(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
-    """Decide M w = d, w >= 0 exactly; certificate is re-verified."""
-    m, ncols = matrix.rows, matrix.cols
-    if len(rhs) != m:
-        raise ValueError(f"rhs length {len(rhs)} != row count {m}")
+def _dot(column: Column, get: Callable[[int], int]) -> int:
+    rows, vals = column
+    if vals is None:
+        return sum(map(get, rows))
+    return sum(map(mul, vals, map(get, rows)))
 
-    # One positive scale clears every denominator of [M | d].  Scaling
-    # all rows alike multiplies the phase-I objective by a constant, so
-    # pivots, witness and simplex multipliers stay those of the
-    # unscaled problem.
-    target = [Fraction(x) for x in rhs]
-    scale = lcm(
-        *(x.denominator for x in target),
-        *(x.denominator for row in matrix.entries for x in row),
-    )
 
-    # Normalize to b >= 0 by flipping row signs; remember the signs to
-    # map a Farkas vector back to the original rows.
-    sign: list[int] = []
-    rows: list[list[int]] = []
-    b: list[int] = []
-    for i in range(m):
-        bi = target[i].numerator * (scale // target[i].denominator)
-        s = -1 if bi < 0 else 1
-        row = [s * x.numerator * (scale // x.denominator) for x in matrix.row(i)]
-        row.extend(1 if k == i else 0 for k in range(m))
-        rows.append(row)
-        b.append(s * bi)
-        sign.append(s)
+def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult:
+    """Decide A w = b, w >= 0 for integer A (given by its columns) and b.
 
-    total_cols = ncols + m
-    basis = list(range(ncols, total_cols))
-    # Reduced profit row for minimizing the artificial sum: for an
-    # original column it is the column sum; artificial columns start
-    # at 0.
-    z = [sum(rows[i][j] for i in range(m)) for j in range(ncols)]
-    z += [0] * m
-    # The rational tableau is rows / denom (likewise b and z); denom is
-    # the last pivot element, initially 1.
+    The witness is over `columns` and the Farkas vector y has
+    y . A_j <= 0 for every column and y . b > 0; neither is checked
+    here.
+    """
+    m, ncols = len(b), len(columns)
+    sign = [-1 if x < 0 else 1 for x in b]
+    # The starting basis is the artificial columns, B = diag(sign), so
+    # R = B^-1 = B, the basic values are |b| and y = 1^T B^-1 = sign.
+    inv = [[sign[i] if k == i else 0 for k in range(m)] for i in range(m)]
+    rhs = [abs(x) for x in b]
+    v = list(sign)
+    basis = list(range(ncols, ncols + m))
     denom = 1
+    pivots = 0
 
     while True:
-        enter = next((j for j in range(total_cols) if z[j] > 0), None)
-        if enter is None:
-            break
-        # Ratio test b_i / a_i over a_i > 0 by cross-multiplication;
+        # Bland: the first column with positive reduced profit.  An
+        # artificial column costs 1, so its profit is sign_k y_k - 1.
+        get = v.__getitem__
+        for enter, column in enumerate(columns):
+            profit = _dot(column, get)
+            if profit > 0:
+                entering = [_dot(column, row.__getitem__) for row in inv]
+                break
+        else:
+            k = next((k for k in range(m) if sign[k] * v[k] > denom), None)
+            if k is None:
+                break
+            enter = ncols + k
+            profit = sign[k] * v[k] - denom
+            entering = [sign[k] * row[k] for row in inv]
+        # Ratio test rhs_i / a_i over a_i > 0 by cross-multiplication;
         # ties go to the smallest basis variable.
         leave = -1
-        for i in range(m):
-            a = rows[i][enter]
+        for i, a in enumerate(entering):
             if a > 0:
                 if leave < 0:
                     leave = i
                     continue
-                lhs = b[i] * rows[leave][enter]
-                rhs_best = b[leave] * a
-                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
+                lhs = rhs[i] * entering[leave]
+                best = rhs[leave] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            # Column sums of [M | I] rows with b >= 0 keep phase-I
-            # bounded below by 0, so this cannot happen.
+            # The artificial sum is bounded below by 0, so this cannot
+            # happen.
             raise RuntimeError("phase-I relaxation unbounded")
-        denom = _pivot(rows, b, z, enter, leave, denom)
+        # Fraction-free pivot: every entry x of another row becomes
+        # (x * piv - f * p) / denom, with f that row's entry in the
+        # entering column and p the pivot-row entry; the division is
+        # exact (the results are minors of the integer tableau).  The
+        # pivot row keeps its integers and piv becomes the denominator.
+        piv = entering[leave]
+        prow = inv[leave]
+        pb = rhs[leave]
+        for i, f in enumerate(entering):
+            if i == leave:
+                continue
+            if f:
+                inv[i] = [(x * piv - f * p) // denom for x, p in zip(inv[i], prow)]
+                rhs[i] = (rhs[i] * piv - f * pb) // denom
+            elif piv != denom:
+                inv[i] = [x * piv // denom for x in inv[i]]
+                rhs[i] = rhs[i] * piv // denom
+        v = [(x * piv - profit * p) // denom for x, p in zip(v, prow)]
+        denom = piv
         basis[leave] = enter
+        pivots += 1
 
     # Phase-I optimum is 0 iff no artificial variable stays positive.
-    if not any(b[i] for i in range(m) if basis[i] >= ncols):
+    if not any(rhs[i] for i in range(m) if basis[i] >= ncols):
         witness = [_ZERO] * ncols
         for i, var in enumerate(basis):
             if var < ncols:
-                witness[var] = Fraction(b[i], denom)
-        _check_witness(matrix, target, witness)
-        return FeasibilityResult(feasible=True, witness=tuple(witness), farkas=None)
-
-    # Simplex multipliers: y_i = reduced profit of artificial i plus
-    # its cost 1.  Map back through the row sign flips.
-    y = [sign[i] * (Fraction(z[ncols + i], denom) + 1) for i in range(m)]
-    _check_farkas(matrix, target, y)
-    return FeasibilityResult(feasible=False, witness=None, farkas=tuple(y))
+                witness[var] = Fraction(rhs[i], denom)
+        return FeasibilityResult(True, tuple(witness), None, pivots)
+    farkas = tuple(Fraction(x, denom) for x in v)
+    return FeasibilityResult(False, None, farkas, pivots)
 
 
-def _pivot(
-    rows: list[list[int]],
-    b: list[int],
-    z: list[int],
-    enter: int,
-    leave: int,
-    denom: int,
-) -> int:
-    """Fraction-free pivot on (leave, enter); returns the new denom.
-
-    Every entry x of another row becomes (x * piv - f * p) / denom,
-    with f that row's entry in the entering column and p the pivot-row
-    entry; the division is exact (the results are minors of the
-    integer tableau).  The pivot row keeps its integers and piv
-    becomes the common denominator.
-    """
-    prow = rows[leave]
-    piv = prow[enter]
-    pb = b[leave]
-    for i, row in enumerate(rows):
-        if i == leave:
-            continue
-        f = row[enter]
-        if f:
-            rows[i] = [(x * piv - f * p) // denom for x, p in zip(row, prow)]
-            b[i] = (b[i] * piv - f * pb) // denom
-        elif piv != denom:
-            rows[i] = [x * piv // denom for x in row]
-            b[i] = b[i] * piv // denom
-    f = z[enter]
-    z[:] = [(x * piv - f * p) // denom for x, p in zip(z, prow)]
-    return piv
+def lp_feasibility(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
+    """Decide M w = d, w >= 0 exactly; certificate is re-verified."""
+    if len(rhs) != matrix.rows:
+        raise ValueError(f"rhs length {len(rhs)} != row count {matrix.rows}")
+    target = [Fraction(x) for x in rhs]
+    # Integer columns s_m M and right-hand side s_b d; the core's
+    # witness is then s_b / s_m times that of M w = d.
+    s_m = lcm(*(x.denominator for row in matrix.entries for x in row))
+    s_b = lcm(*(x.denominator for x in target))
+    columns: list[Column] = []
+    for col in zip(*matrix.entries):
+        rows = tuple(i for i, x in enumerate(col) if x)
+        vals = tuple(col[i].numerator * (s_m // col[i].denominator) for i in rows)
+        columns.append((rows, None if all(x == 1 for x in vals) else vals))
+    b = [x.numerator * (s_b // x.denominator) for x in target]
+    result = _phase_one(columns, b)
+    if not result.feasible:
+        _check_farkas(matrix, target, result.farkas)
+        return result
+    factor = Fraction(s_m, s_b)
+    witness = tuple(w * factor for w in result.witness)
+    _check_witness(matrix, target, witness)
+    return replace(result, witness=witness)
 
 
 def _check_witness(
@@ -185,15 +228,68 @@ def _check_witness(
 def _check_farkas(
     matrix: RationalMatrix, rhs: Sequence[Fraction], y: Sequence[Fraction]
 ) -> None:
-    cols = matrix.transpose()
-    for c in range(matrix.cols):
-        total = _ZERO
-        for a, yi in zip(cols.row(c), y):
-            if a and yi:
-                total += a * yi
-        if total > 0:
-            raise RuntimeError("Farkas vector is positive on a cone generator")
+    totals = [_ZERO] * matrix.cols
+    for row, yi in zip(matrix.entries, y):
+        if yi:
+            totals = [t + a * yi if a else t for t, a in zip(totals, row)]
+    if any(t > 0 for t in totals):
+        raise RuntimeError("Farkas vector is positive on a cone generator")
     if sum(yi * Fraction(x) for yi, x in zip(y, rhs)) <= 0:
+        raise RuntimeError("Farkas vector is nonpositive on the target")
+
+
+# ---------------------------------------------------------------------------
+# the cut cone, column by column from bitmasks
+
+
+def _cut_columns(n: int) -> list[Column]:
+    """0/1 columns of the first 2^(n-1) - 1 cuts in enumerate_cuts order.
+
+    These are one cut of each complement pair: with 1-based ranks the
+    complement of the k-th cut is the (2^n - 1 - k)-th.
+    """
+    row_of = [[0] * n for _ in range(n)]
+    for r, (i, j) in enumerate(combinations(range(n), 2)):
+        row_of[i][j] = row_of[j][i] = r
+    graded = (c for size in range(1, n) for c in combinations(range(n), size))
+    columns: list[Column] = []
+    for members in islice(graded, (1 << (n - 1)) - 1):
+        mask = sum(1 << v for v in members)
+        rows = tuple(row_of[i][j] for i in members for j in range(n) if not mask >> j & 1)
+        columns.append((rows, None))
+    return columns
+
+
+def _check_cut_witness(d: Metric, witness: Sequence[Fraction]) -> None:
+    """Sum of witness-weighted cut metrics, in enumerate_cuts order, is d."""
+    if any(w < 0 for w in witness):
+        raise RuntimeError("simplex produced a negative witness entry")
+    total = [_ZERO] * len(d.d)
+    for cut, w in zip(enumerate_cuts(d.n, max_n=d.n), witness):
+        if w:
+            for idx, x in enumerate(cut_metric_vector(cut)):
+                if x:
+                    total[idx] += w
+    if total != list(d.d):
+        raise RuntimeError("simplex witness fails M w = d")
+
+
+def _check_cut_farkas(d: Metric, y: Sequence[Fraction]) -> None:
+    """y . delta(S) <= 0 on every cut class and y . d > 0.
+
+    The classes are the masks without vertex n, one per complement
+    pair; y is cleared of denominators first, which keeps every sign.
+    """
+    scale = lcm(*(x.denominator for x in y))
+    weighted = [
+        (i, j, x.numerator * (scale // x.denominator))
+        for (i, j), x in zip(combinations(range(d.n), 2), y)
+        if x
+    ]
+    for mask in range(1, 1 << (d.n - 1)):
+        if sum(yi for i, j, yi in weighted if (mask >> i ^ mask >> j) & 1) > 0:
+            raise RuntimeError("Farkas vector is positive on a cut metric")
+    if sum(yi * x for yi, x in zip(y, d.d)) <= 0:
         raise RuntimeError("Farkas vector is nonpositive on the target")
 
 
@@ -202,15 +298,25 @@ def cutcone_membership(
 ) -> FeasibilityResult:
     """Exact membership of d in the full cut cone.
 
-    Solves over all 2^n - 2 nontrivial cuts; witness weights follow
-    enumerate_cuts order.  Column count is exponential, so the input
-    size is capped (default n <= 10).
+    Witness weights follow enumerate_cuts order over all 2^n - 2
+    nontrivial cuts; a cut and its complement are one column, so only
+    the first cut of each pair can carry weight.  The column count is
+    exponential, so the input size is capped (default n <= 10).
     """
     if d.n > max_n:
         raise ValueError(f"n={d.n} exceeds the cut-cone oracle maximum {max_n}")
     if d.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={d.n}")
-    return lp_feasibility(full_cut_matrix(d.n, max_n=max_n), d.d)
+    scale = lcm(*(x.denominator for x in d.d))
+    b = [x.numerator * (scale // x.denominator) for x in d.d]
+    result = _phase_one(_cut_columns(d.n), b)
+    if not result.feasible:
+        _check_cut_farkas(d, result.farkas)
+        return result
+    kept = tuple(w / scale for w in result.witness)
+    witness = kept + (_ZERO,) * len(kept)
+    _check_cut_witness(d, witness)
+    return replace(result, witness=witness)
 
 
 def paircut_membership_exact(

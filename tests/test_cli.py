@@ -4,12 +4,14 @@ import io
 import itertools
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from cutcones import io as cio
-from cutcones.cli import main
+from cutcones import oracle
+from cutcones.cli import EXIT_INTERNAL, main
 from cutcones.cut_algebra import Cut, cut_metric_vector
 from cutcones.fullcut import CutCertificate, sufficient_condition
 from cutcones.metric import Metric
@@ -540,6 +542,42 @@ def test_malformed_json_is_usage_error(cli):
 def test_wrong_document_shape_is_usage_error(cli):
     code, _, err = cli("validate", stdin='{"n": 5, "d": [1, 2]}')
     assert code == 3 and err.startswith("error:")
+
+
+def test_oversized_decimal_is_rejected_before_it_is_built(cli, write):
+    # a million-digit integer would take about 0.3 s to build
+    for token in ('1e1000000', '"1e1000000"'):
+        path = write('{"n": 3, "d": [%s, 1, 1]}' % token)
+        t0 = time.monotonic()
+        code, _, err = cli("validate", "--metric", path)
+        assert time.monotonic() - t0 < 0.05
+        assert code == 3 and "exponent" in err
+
+
+def test_deeply_nested_json_is_an_internal_error(cli, write):
+    path = write("[" * 200_000 + "]" * 200_000)
+    code, out, err = cli("validate", "--metric", path)
+    assert code == EXIT_INTERNAL == 4
+    assert out == "" and err.startswith("internal error:")
+
+
+@pytest.mark.parametrize(
+    "check,d",
+    [
+        ("_check_cut_witness", graph_metric(path_graph(5))),
+        ("_check_cut_farkas", truncated_metric(family("B", 2, 3))),
+    ],
+    ids=["witness", "farkas"],
+)
+def test_failed_certificate_recheck_is_an_internal_error(cli, write, monkeypatch, check, d):
+    # a certificate that fails its re-check must never read as a verdict
+    def fail(*args):
+        raise RuntimeError("certificate fails its re-check")
+
+    monkeypatch.setattr(oracle, check, fail)
+    code, out, err = cli("cutcone", "exact", "--metric", write(d))
+    assert code == EXIT_INTERNAL
+    assert out == "" and "fails its re-check" in err
 
 
 def test_format_flag_accepted_before_and_after_subcommand(cli, write):

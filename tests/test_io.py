@@ -9,6 +9,8 @@ from cutcones.cut_algebra import Cut, square_cut_matrix
 from cutcones.embeddings import linf_sig_embedding
 from cutcones.fullcut import CutCertificate
 from cutcones.io import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_TOKEN_DIGITS,
     certificate_from_json,
     dumps_certificate,
     dumps_graph,
@@ -57,6 +59,29 @@ def test_parse_rational_rejections():
     for bad in (1.5, True, False, None, [1], "nan", "inf", "1/0", "abc", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def test_parse_rational_token_size_limits():
+    # tokens at the limits still parse exactly
+    assert parse_rational("1e%d" % MAX_DECIMAL_EXPONENT) == 10**MAX_DECIMAL_EXPONENT
+    assert parse_rational("1E-%d" % MAX_DECIMAL_EXPONENT) == F(1, 10**MAX_DECIMAL_EXPONENT)
+    assert parse_rational("7" * MAX_TOKEN_DIGITS) == int("7" * MAX_TOKEN_DIGITS)
+    for bad in (
+        "1e%d" % (MAX_DECIMAL_EXPONENT + 1),
+        "2.5E-%d" % (MAX_DECIMAL_EXPONENT + 1),
+        "1e1000000",
+        "7" * (MAX_TOKEN_DIGITS + 1),
+        "1/" + "3" * MAX_TOKEN_DIGITS,
+    ):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+def test_json_numbers_obey_the_token_size_limits():
+    assert loads_json('[2.5e3, -1, 0.125]') == [F(2500), -1, F(1, 8)]
+    for bad in ("[1e1000000]", "[0.%s]" % ("9" * MAX_TOKEN_DIGITS)):
+        with pytest.raises(ValueError):
+            loads_json(bad)
 
 
 def test_format_rational_canonical():

@@ -1,10 +1,14 @@
 """Exact LP feasibility oracle and the seeded instance generators."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cutcones import oracle
 from cutcones.cut_algebra import (
     RationalMatrix,
     cut_metric_vector,
@@ -16,6 +20,7 @@ from cutcones.cut_algebra import (
 from cutcones.fullcut import certificate_from_weights, verify_cut_certificate
 from cutcones.metric import Metric, validate_metric, vertex_pairs
 from cutcones.oracle import (
+    FeasibilityResult,
     cutcone_membership,
     lp_feasibility,
     paircut_membership_exact,
@@ -27,8 +32,10 @@ from cutcones.oracle import (
 )
 from cutcones.paircut import paircut_membership, paircut_weights
 from cutcones.sig import (
+    SimpleGraph,
     complete_bipartite_graph,
     graph_metric,
+    hypercube_graph,
     path_graph,
     truncated_metric,
 )
@@ -141,6 +148,136 @@ def test_cutcone_path_metrics_feasible():
         assert result.feasible
         cert = certificate_from_weights(n, result.witness)
         assert verify_cut_certificate(cert, d).valid
+
+
+def test_pivot_counts_at_n10():
+    # Bland's rule over all 2^10 - 2 cut columns takes these pivots;
+    # keeping one column per complement pair must not change them
+    path = cutcone_membership(graph_metric(path_graph(10)))
+    assert path.feasible and path.pivots == 65
+    cube = SimpleGraph.from_edges(10, list(hypercube_graph(3).edges))
+    padded = cutcone_membership(truncated_metric(cube))
+    assert not padded.feasible and padded.pivots == 360
+
+
+def test_pivot_count_takes_no_part_in_equality():
+    a = FeasibilityResult(True, (F(1),), None, pivots=3)
+    b = FeasibilityResult(True, (F(1),), None, pivots=5)
+    assert a == b
+
+
+def sparse_cut_combination(n, rng, cuts):
+    """Random positive weights on `cuts` random distinct nontrivial cuts."""
+    total = [F(0)] * (n * (n - 1) // 2)
+    for mask in rng.sample(range(1, (1 << n) - 1), cuts):
+        w = F(rng.randint(1, 12), 4)
+        for r, (i, j) in enumerate(combinations(range(n), 2)):
+            if (mask >> i ^ mask >> j) & 1:
+                total[r] += w
+    return Metric(n, tuple(total))
+
+
+def planted_k23(n, rng, c=4):
+    """Random entries in [c, 2c] with the path metric of K_{2,3}, scaled
+    by c, on five random vertices: it violates the pentagonal
+    inequality, so it lies outside the cut cone."""
+    d = {p: F(rng.randint(4 * c, 8 * c), 4) for p in combinations(range(n), 2)}
+    five = rng.sample(range(n), 5)
+    side = set(five[:3])
+    for i, j in combinations(sorted(five), 2):
+        d[i, j] = F(2 * c if (i in side) == (j in side) else c)
+    return Metric(n, tuple(d[p] for p in combinations(range(n), 2)))
+
+
+def triangle_violation(n, rng):
+    """Random entries in [2, 4] with d(1,2) = 9 > d(1,3) + d(3,2)."""
+    d = [F(rng.randint(8, 16), 4) for _ in range(n * (n - 1) // 2)]
+    d[0] = F(9)
+    return Metric(n, tuple(d))
+
+
+def test_dropping_complement_columns_changes_nothing():
+    # the oracle solves over one column per complement pair; the full
+    # cut-matrix has both, and must give the same witness or Farkas vector
+    rng = random.Random(23)
+    for n in range(4, 8):
+        members = [random_cut_combination(n, rng), sparse_cut_combination(n, rng, n)]
+        outside = [triangle_violation(n, rng)]
+        if n >= 5:
+            outside.append(planted_k23(n, rng))
+        for expected, metrics in ((True, members), (False, outside)):
+            for d in metrics:
+                result = cutcone_membership(d)
+                assert result.feasible == expected
+                assert result == lp_feasibility(full_cut_matrix(n), d.d)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n=st.sampled_from((4, 5)),
+    weights=st.lists(st.integers(min_value=-2, max_value=6), min_size=15, max_size=15),
+    denom=st.integers(min_value=1, max_value=4),
+)
+def test_dropping_complement_columns_property(n, weights, denom):
+    # one weight per complement class, on its first cut; negative
+    # weights make non-members (or non-metrics) as well as members
+    cuts = enumerate_cuts(n)
+    total = [F(0)] * (n * (n - 1) // 2)
+    for cut, w in zip(cuts[: (1 << (n - 1)) - 1], weights):
+        for r, x in enumerate(cut_metric_vector(cut)):
+            total[r] += x * F(w, denom)
+    d = Metric(n, tuple(total))
+    assert cutcone_membership(d) == lp_feasibility(full_cut_matrix(n), d.d)
+
+
+def test_degenerate_classes_at_n10():
+    # sparse cut combinations and planted K_{2,3} semi-metrics are the
+    # oracle's most degenerate inputs at n = 10
+    rng = random.Random(10)
+    d = sparse_cut_combination(10, rng, 20)
+    t0 = time.monotonic()
+    result = cutcone_membership(d)
+    assert time.monotonic() - t0 < 30
+    assert result.feasible
+    assert verify_cut_certificate(certificate_from_weights(10, result.witness), d).valid
+
+    d = planted_k23(10, rng)
+    t0 = time.monotonic()
+    result = cutcone_membership(d)
+    assert time.monotonic() - t0 < 30
+    assert not result.feasible
+    check_farkas(full_cut_matrix(10), d.d, result.farkas)
+
+
+def test_cut_certificate_rechecks_reject_bad_certificates():
+    d = truncated_metric(complete_bipartite_graph(2, 3))
+    y = list(cutcone_membership(d).farkas)
+    oracle._check_cut_farkas(d, y)
+    # raising y on the pair {4, 5} by enough makes it positive on the
+    # cuts that split that pair, all of which hold vertex 4 or 5
+    y[-1] += 100
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_farkas(d, y)
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_farkas(d, [F(0)] * len(y))
+
+    d = graph_metric(path_graph(5))
+    w = list(cutcone_membership(d).witness)
+    oracle._check_cut_witness(d, w)
+    k = next(i for i, x in enumerate(w) if x)
+    twin = len(w) - 1 - k  # the complement: the same cut metric
+    moved = list(w)
+    moved[k] += F(1, 2)
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_witness(d, moved)
+    moved = list(w)
+    moved[k] += 1
+    moved[twin] -= 1
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_witness(d, moved)
+    moved = list(w)
+    moved[k], moved[twin] = F(0), w[k]
+    oracle._check_cut_witness(d, moved)
 
 
 def test_cutcone_size_guard():
