@@ -127,7 +127,7 @@ def _cmd_paircut(args: argparse.Namespace) -> int:
     d = _load_metric(args.metric)
     use_oracle = args.mode == "exact" or d.n < 5
     if use_oracle:
-        max_n = args.max_n if args.max_n else oracle.DEFAULT_PAIRCUT_MAX_N
+        max_n = args.max_n if args.max_n is not None else oracle.DEFAULT_PAIRCUT_MAX_N
         result = oracle.paircut_membership_exact(d, max_n=max_n)
         doc: dict[str, Any] = {
             "command": "paircut",
@@ -186,7 +186,7 @@ def _certificate_lines(cert: fullcut.CutCertificate) -> list[str]:
 def _cmd_cutcone(args: argparse.Namespace) -> int:
     d = _load_metric(args.metric)
     if args.mode == "sufficient":
-        max_n = args.max_n if args.max_n else cut_algebra.DEFAULT_MAX_N
+        max_n = args.max_n if args.max_n is not None else cut_algebra.DEFAULT_MAX_N
         verdict = fullcut.sufficient_condition(d, max_n=max_n)
         member = verdict.status == "member"
         doc: dict[str, Any] = {
@@ -210,7 +210,7 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
                 lines.append(f"  failing cut {{{','.join(map(str, c.member_list))}}}")
         _emit_verdict(args, doc, lines)
         return EXIT_MEMBER if member else EXIT_INCONCLUSIVE
-    max_n = args.max_n if args.max_n else oracle.DEFAULT_CUTCONE_MAX_N
+    max_n = args.max_n if args.max_n is not None else oracle.DEFAULT_CUTCONE_MAX_N
     result = oracle.cutcone_membership(d, max_n=max_n)
     doc = {
         "command": "cutcone",
@@ -318,7 +318,7 @@ def _cmd_sig_star(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    max_n = args.max_n if args.max_n else cut_algebra.DEFAULT_MAX_N
+    max_n = args.max_n if args.max_n is not None else cut_algebra.DEFAULT_MAX_N
     basis = fullcut.kernel_basis(args.n, max_n=max_n)
     length = (1 << args.n) - 2
     if _fmt(args) == "json":
@@ -395,7 +395,7 @@ _MATRICES = {
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    max_n = args.max_n if args.max_n else cut_algebra.DEFAULT_MAX_N
+    max_n = args.max_n if args.max_n is not None else cut_algebra.DEFAULT_MAX_N
     matrix: RationalMatrix = _MATRICES[args.which](args.n, max_n)
     if _fmt(args) == "json":
         doc = {

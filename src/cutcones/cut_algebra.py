@@ -7,6 +7,8 @@ that is 1 on pairs split by C and 0 elsewhere.  This module provides:
     by cardinality and lexicographic within each cardinality, whose
     complement rule pairs the k-th cut with the (2^n - 1 - k)-th
     (1-based ranks);
+  * combine_cuts, the pair-indexed sum of weighted cut metrics, built
+    like every cut vector here on metric.split_pairs;
   * the square cut-matrix (pair cuts only), its eigenprojectors and
     its exact inverse for n >= 5;
   * the vertex-pair incidence matrix behind the projector formulas;
@@ -22,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
-from cutcones.metric import num_pairs, pair_index, vertex_pairs
+from cutcones.metric import num_pairs, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,11 +107,30 @@ def enumerate_cuts(n: int, *, max_n: int = DEFAULT_MAX_N) -> list[Cut]:
     return cuts
 
 
+def combine_cuts(
+    n: int, terms: Iterable[tuple[int, Fraction | int]]
+) -> tuple[Fraction, ...]:
+    """Pair-indexed sum of w * delta(mask) over (mask, w) terms.
+
+    The weights are cleared of denominators first, so the sum runs in
+    integers over one common denominator.
+    """
+    terms = [(mask, Fraction(w)) for mask, w in terms if w]
+    scale = lcm(*(w.denominator for _, w in terms))
+    total = [0] * num_pairs(n)
+    for mask, w in terms:
+        k = w.numerator * (scale // w.denominator)
+        for p in split_pairs(n, mask):
+            total[p] += k
+    return tuple(Fraction(x, scale) for x in total)
+
+
 def cut_metric_vector(cut: Cut) -> tuple[Fraction, ...]:
-    """Pair-indexed 0/1 vector of the cut semi-metric."""
-    return tuple(
-        _ONE if cut.separates(i, j) else _ZERO for i, j in vertex_pairs(cut.n)
-    )
+    """Pair-indexed 0/1 vector of the cut semi-metric (interned entries)."""
+    vector = [_ZERO] * num_pairs(cut.n)
+    for p in split_pairs(cut.n, cut.members):
+        vector[p] = _ONE
+    return tuple(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -227,32 +249,35 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    work = [list(map(Fraction, row)) for row in rows]
+    """Exact rank over the rationals by fraction-free elimination.
+
+    Each row is cleared of denominators (which keeps the rank), then
+    Bareiss elimination runs in integers: every entry below the pivot
+    rows becomes (x * piv - f * p) / denom, with denom the previous
+    pivot, and the division is exact (the results are minors).
+    """
+    work = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
     if not work:
         return 0
-    ncols = len(work[0])
     rank = 0
-    row_at = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(row_at, len(work)) if work[r][col]), None
-        )
+    denom = 1
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
-        work[row_at], work[pivot] = work[pivot], work[row_at]
-        piv_row = work[row_at]
-        inv = 1 / piv_row[col]
-        work[row_at] = piv_row = [x * inv for x in piv_row]
-        for r in range(len(work)):
-            if r == row_at:
-                continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        piv = prow[col]
+        for r in range(rank + 1, len(work)):
             f = work[r][col]
-            if f:
-                work[r] = [x - f * p for x, p in zip(work[r], piv_row)]
+            work[r] = [(x * piv - f * p) // denom for x, p in zip(work[r], prow)]
+        denom = piv
         rank += 1
-        row_at += 1
-        if row_at == len(work):
+        if rank == len(work):
             break
     return rank
 
@@ -270,11 +295,8 @@ def square_cut_matrix(n: int) -> RationalMatrix:
     """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got n={n}")
-    ps = vertex_pairs(n)
-    cuts = [pair_cut(n, i, j) for i, j in ps]
-    return RationalMatrix.from_rows(
-        [[_ONE if c.separates(i, j) else _ZERO for c in cuts] for i, j in ps]
-    )
+    columns = [cut_metric_vector(pair_cut(n, i, j)) for i, j in vertex_pairs(n)]
+    return RationalMatrix.from_rows(list(zip(*columns)))
 
 
 def incidence_matrix(n: int) -> RationalMatrix:
@@ -353,12 +375,5 @@ def full_cut_matrix(n: int, *, max_n: int = DEFAULT_MAX_N) -> RationalMatrix:
     are pairs agree with the corresponding square cut-matrix columns.
     Satisfies S S^T = 2^{n-2} (I + J).
     """
-    cuts = enumerate_cuts(n, max_n=max_n)
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got n={n}")
-    return RationalMatrix.from_rows(
-        [
-            [_ONE if c.separates(i, j) else _ZERO for c in cuts]
-            for i, j in vertex_pairs(n)
-        ]
-    )
+    columns = map(cut_metric_vector, enumerate_cuts(n, max_n=max_n))
+    return RationalMatrix.from_rows(list(zip(*columns)))

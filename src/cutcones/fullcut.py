@@ -29,15 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm
 from typing import Iterable, Sequence
 
-from cutcones.cut_algebra import (
-    DEFAULT_MAX_N,
-    Cut,
-    cut_metric_vector,
-    enumerate_cuts,
-)
-from cutcones.metric import Metric, cut_trace, num_pairs, summarize, vertex_pairs
+from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, combine_cuts, enumerate_cuts
+from cutcones.metric import Metric, num_pairs, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 
@@ -66,14 +62,8 @@ class CutCertificate:
 
 def certificate_metric(cert: CutCertificate) -> Metric:
     """Reconstruct the metric a certificate claims to decompose."""
-    total = [_ZERO] * num_pairs(cert.n)
-    for cut, w in zip(cert.cuts, cert.weights):
-        if not w:
-            continue
-        for idx, x in enumerate(cut_metric_vector(cut)):
-            if x:
-                total[idx] += w
-    return Metric(cert.n, tuple(total))
+    terms = ((c.members, w) for c, w in zip(cert.cuts, cert.weights))
+    return Metric(cert.n, combine_cuts(cert.n, terms))
 
 
 def certificate_from_weights(
@@ -129,6 +119,31 @@ def verify_cut_certificate(cert: CutCertificate, d: Metric) -> CertificateReport
 # the minimum-norm candidate and the sufficient condition
 
 
+def _slacks(d: Metric, max_n: int) -> tuple[list[Cut], list[Fraction]]:
+    """The cuts in enumerate_cuts order and each one's slack
+    s_C - |C|(n-|C|) Tr(d)/(m+1).
+
+    Complements sit at mirrored ranks and have equal slack, so only
+    the first half of the cuts is traced, in integers with d cleared
+    of denominators.
+    """
+    n = d.n
+    cuts = enumerate_cuts(n, max_n=max_n)
+    m1 = num_pairs(n) + 1
+    scale = lcm(*(x.denominator for x in d.d))
+    dd = [x.numerator * (scale // x.denominator) for x in d.d]
+    trace = sum(dd)
+    half = [
+        Fraction(
+            m1 * sum(dd[p] for p in split_pairs(n, c.members))
+            - trace * c.size * (n - c.size),
+            m1 * scale,
+        )
+        for c in cuts[: len(cuts) // 2]
+    ]
+    return cuts, half + half[::-1]
+
+
 def candidate_solution(
     d: Metric, *, max_n: int = DEFAULT_MAX_N
 ) -> tuple[Fraction, ...]:
@@ -137,17 +152,8 @@ def candidate_solution(
     Always satisfies the linear system exactly (checked property, not
     assumption); entries may be negative.  Linear in d.
     """
-    n = d.n
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got n={n}")
-    cuts = enumerate_cuts(n, max_n=max_n)
-    m = num_pairs(n)
-    trace = summarize(d).trace
-    scale = Fraction(1, 2 ** (n - 2))
-    return tuple(
-        scale * (cut_trace(d, c) - Fraction(trace * c.size * (n - c.size), m + 1))
-        for c in cuts
-    )
+    scale = Fraction(1, 2 ** (d.n - 2))
+    return tuple(scale * s for s in _slacks(d, max_n)[1])
 
 
 @dataclass(frozen=True)
@@ -180,35 +186,19 @@ def sufficient_condition(
     the cut cone and the candidate weights form a certificate.
     """
     n = d.n
-    if n < 3:
-        raise ValueError(f"need at least 3 vertices, got n={n}")
-    cuts = enumerate_cuts(n, max_n=max_n)
-    m = num_pairs(n)
-    trace = summarize(d).trace
-    slacks = []
-    failing = []
-    for c in cuts:
-        if not c.contains(1):
-            continue
-        slack = cut_trace(d, c) - Fraction(trace * c.size * (n - c.size), m + 1)
-        slacks.append((c, slack))
-        if slack < 0:
-            failing.append(c)
-    if failing:
-        return SufficiencyVerdict(
-            n=n,
-            status="inconclusive",
-            certificate=None,
-            slacks=tuple(slacks),
-            failing=tuple(failing),
-        )
-    cert = certificate_from_weights(n, candidate_solution(d, max_n=max_n), max_n=max_n)
+    cuts, all_slacks = _slacks(d, max_n)
+    slacks = tuple((c, s) for c, s in zip(cuts, all_slacks) if c.members & 1)
+    failing = tuple(c for c, s in slacks if s < 0)
+    cert = None
+    if not failing:
+        scale = Fraction(1, 2 ** (n - 2))
+        cert = certificate_from_weights(n, [scale * s for s in all_slacks], max_n=max_n)
     return SufficiencyVerdict(
         n=n,
-        status="member",
+        status="inconclusive" if failing else "member",
         certificate=cert,
-        slacks=tuple(slacks),
-        failing=(),
+        slacks=slacks,
+        failing=failing,
     )
 
 
@@ -250,8 +240,16 @@ class KernelBasis:
         return len(self.vectors)
 
 
-def _cut_index_map(n: int, max_n: int) -> dict[int, int]:
-    return {c.members: k for k, c in enumerate(enumerate_cuts(n, max_n=max_n))}
+def _cut_rank(n: int, members: Sequence[int]) -> int:
+    """Index in enumerate_cuts order of the cut with these sorted members.
+
+    Combinatorial number system: the cuts of smaller size come first,
+    and C(n, k) - 1 - sum_i C(n - v_i, k - i + 1) k-subsets come
+    lexicographically before {v_1 < ... < v_k}.
+    """
+    k = len(members)
+    below = sum(comb(n, size) for size in range(1, k + 1)) - 1
+    return below - sum(comb(n - v, k - i) for i, v in enumerate(members))
 
 
 def phi_vector(n: int, k: int, *, max_n: int = DEFAULT_MAX_N) -> KernelVector:
@@ -285,24 +283,18 @@ def psi_vector(
         raise ValueError("subset must be nonempty")
     if members[0] < 1 or members[-1] > n:
         raise ValueError(f"subset {members} out of range 1..{n}")
-    index_of = _cut_index_map(n, max_n)
-    full = (1 << n) - 1
-    entries = {}
-    for size in range(1, len(members) + 1):
+    if n < 3:
+        raise ValueError(f"need at least 3 vertices, got n={n}")
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
+    # Subsets by size, then lexicographic, come out in rank order.
+    entries = []
+    for size in range(1, min(len(members), n - 1) + 1):
         sign = Fraction(-1) if size % 2 else Fraction(1)
         for sub in combinations(members, size):
-            mask = 0
-            for v in sub:
-                mask |= 1 << (v - 1)
-            if mask == full:
-                continue
-            entries[index_of[mask]] = sign
+            entries.append((_cut_rank(n, sub), sign))
     label = "psi_{" + ",".join(map(str, members)) + "}"
-    return KernelVector(
-        label=label,
-        kind="psi",
-        entries=tuple(sorted(entries.items())),
-    )
+    return KernelVector(label=label, kind="psi", entries=tuple(entries))
 
 
 def kernel_basis(n: int, *, max_n: int = DEFAULT_MAX_N) -> KernelBasis:
@@ -336,11 +328,4 @@ def apply_full_cut_matrix(
     membership (all-zero image).
     """
     cuts = enumerate_cuts(n, max_n=max_n)
-    total = [_ZERO] * num_pairs(n)
-    for idx, coeff in entries:
-        if not coeff:
-            continue
-        for p, x in enumerate(cut_metric_vector(cuts[idx])):
-            if x:
-                total[p] += coeff
-    return tuple(total)
+    return combine_cuts(n, ((cuts[idx].members, coeff) for idx, coeff in entries))

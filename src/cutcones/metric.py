@@ -182,6 +182,29 @@ def summarize(d: Metric) -> MetricSummary:
     return MetricSummary(n=d.n, trace=total, star_traces=tuple(stars))
 
 
+def split_pairs(n: int, mask: int) -> list[int]:
+    """Ascending indices of the pairs {i, j} split by a vertex bitmask.
+
+    Bit k-1 of mask stands for vertex k.  The pair-indexed 0/1 vector
+    of the cut semi-metric is 1 exactly at these indices; a trivial
+    mask (empty or full) splits no pair.
+    """
+    full = (1 << n) - 1
+    if not 0 <= mask <= full:
+        raise ValueError(f"bitmask {mask:#x} out of range for n={n}")
+    out = []
+    base = -1  # index of the pair (i, i+1), minus one
+    for i in range(n - 1):
+        # the vertices j > i on the other side of the cut from i
+        other = (full ^ mask if mask >> i & 1 else mask) >> (i + 1)
+        while other:
+            low = other & -other
+            out.append(base + low.bit_length())
+            other ^= low
+        base += n - 1 - i
+    return out
+
+
 def cut_trace(d: Metric, cut: "Cut") -> Fraction:
     """Sum of d(i, j) over pairs split by the cut.
 
@@ -193,8 +216,4 @@ def cut_trace(d: Metric, cut: "Cut") -> Fraction:
         raise ValueError(f"cut on {cut.n} vertices vs metric on {d.n}")
     if cut.is_trivial:
         raise ValueError("cut trace is defined for nontrivial cuts only")
-    total = _ZERO
-    for (i, j), v in zip(vertex_pairs(d.n), d.d):
-        if cut.separates(i, j):
-            total += v
-    return total
+    return sum((d.d[p] for p in split_pairs(d.n, cut.members)), _ZERO)

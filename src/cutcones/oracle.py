@@ -46,12 +46,13 @@ re-checked against the unscaled generators.  Each caller does that
 before it returns, and a failed re-check raises RuntimeError:
 
   * feasible: a nonnegative witness w with A w = d, checked by
-    substitution; for the cut cone the sum runs over the cut metric
-    vectors of enumerate_cuts, not over the solver's columns;
+    substitution; for the cut cone, combine_cuts sums w over the
+    bitmasks of the enumerate_cuts cuts, not over the solver's
+    columns;
   * infeasible: a Farkas vector y with y . A_j <= 0 for every column
     and y . d > 0, read off the final multipliers; for the cut cone
     y . delta(S) <= 0 is checked on all 2^(n-1) - 1 cut classes, each
-    rebuilt from its bitmask.
+    summed over the split_pairs of its bitmask.
 
 Determinism: identical inputs take identical pivot sequences and
 return identical certificates.
@@ -62,18 +63,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, islice
 from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
 from cutcones.cut_algebra import (
     RationalMatrix,
-    cut_metric_vector,
+    combine_cuts,
     enumerate_cuts,
     square_cut_matrix,
 )
-from cutcones.metric import Metric, num_pairs, vertex_pairs
+from cutcones.metric import Metric, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 
@@ -248,29 +248,16 @@ def _cut_columns(n: int) -> list[Column]:
     These are one cut of each complement pair: with 1-based ranks the
     complement of the k-th cut is the (2^n - 1 - k)-th.
     """
-    row_of = [[0] * n for _ in range(n)]
-    for r, (i, j) in enumerate(combinations(range(n), 2)):
-        row_of[i][j] = row_of[j][i] = r
-    graded = (c for size in range(1, n) for c in combinations(range(n), size))
-    columns: list[Column] = []
-    for members in islice(graded, (1 << (n - 1)) - 1):
-        mask = sum(1 << v for v in members)
-        rows = tuple(row_of[i][j] for i in members for j in range(n) if not mask >> j & 1)
-        columns.append((rows, None))
-    return columns
+    cuts = enumerate_cuts(n, max_n=n)[: (1 << (n - 1)) - 1]
+    return [(tuple(split_pairs(n, c.members)), None) for c in cuts]
 
 
 def _check_cut_witness(d: Metric, witness: Sequence[Fraction]) -> None:
     """Sum of witness-weighted cut metrics, in enumerate_cuts order, is d."""
     if any(w < 0 for w in witness):
         raise RuntimeError("simplex produced a negative witness entry")
-    total = [_ZERO] * len(d.d)
-    for cut, w in zip(enumerate_cuts(d.n, max_n=d.n), witness):
-        if w:
-            for idx, x in enumerate(cut_metric_vector(cut)):
-                if x:
-                    total[idx] += w
-    if total != list(d.d):
+    cuts = enumerate_cuts(d.n, max_n=d.n)
+    if combine_cuts(d.n, ((c.members, w) for c, w in zip(cuts, witness))) != d.d:
         raise RuntimeError("simplex witness fails M w = d")
 
 
@@ -281,13 +268,9 @@ def _check_cut_farkas(d: Metric, y: Sequence[Fraction]) -> None:
     pair; y is cleared of denominators first, which keeps every sign.
     """
     scale = lcm(*(x.denominator for x in y))
-    weighted = [
-        (i, j, x.numerator * (scale // x.denominator))
-        for (i, j), x in zip(combinations(range(d.n), 2), y)
-        if x
-    ]
+    weighted = [x.numerator * (scale // x.denominator) for x in y]
     for mask in range(1, 1 << (d.n - 1)):
-        if sum(yi for i, j, yi in weighted if (mask >> i ^ mask >> j) & 1) > 0:
+        if sum(weighted[p] for p in split_pairs(d.n, mask)) > 0:
             raise RuntimeError("Farkas vector is positive on a cut metric")
     if sum(yi * x for yi, x in zip(y, d.d)) <= 0:
         raise RuntimeError("Farkas vector is nonpositive on the target")
@@ -381,19 +364,13 @@ def random_cut_combination(
 
     In the cut cone by construction.  low/high bound each weight.
     """
-    from cutcones.cut_algebra import cut_metric_vector, enumerate_cuts
-
     if low < 0:
         raise ValueError("weights must stay nonnegative")
-    total = [_ZERO] * num_pairs(n)
-    for c in enumerate_cuts(n, max_n=max_n):
-        w = random_rational(rng, low=low, high=high, denom=denom)
-        if not w:
-            continue
-        for idx, x in enumerate(cut_metric_vector(c)):
-            if x:
-                total[idx] += w
-    return Metric(n, tuple(total))
+    terms = [
+        (c.members, random_rational(rng, low=low, high=high, denom=denom))
+        for c in enumerate_cuts(n, max_n=max_n)
+    ]
+    return Metric(n, combine_cuts(n, terms))
 
 
 def random_paircut_combination(
@@ -410,15 +387,14 @@ def random_paircut_combination(
     """
     if low < 0:
         raise ValueError("weights must stay nonnegative")
-    total = [_ZERO] * num_pairs(n)
-    for i, j in vertex_pairs(n):
-        w = random_rational(rng, low=low, high=high, denom=denom)
-        if not w:
-            continue
-        for idx, (a, b) in enumerate(vertex_pairs(n)):
-            if (a in (i, j)) != (b in (i, j)):
-                total[idx] += w
-    return Metric(n, tuple(total))
+    terms = [
+        (
+            1 << (i - 1) | 1 << (j - 1),
+            random_rational(rng, low=low, high=high, denom=denom),
+        )
+        for i, j in vertex_pairs(n)
+    ]
+    return Metric(n, combine_cuts(n, terms))
 
 
 def random_semimetric(

@@ -271,6 +271,24 @@ def test_cutcone_exact_rejects_over_cap(cli, write):
     assert code == 3 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("paircut", "exact"),
+        ("cutcone", "sufficient"),
+        ("cutcone", "exact"),
+        ("kernel", "basis", "--n", "5"),
+        ("matrix", "dump", "full", "--n", "5"),
+    ],
+    ids=lambda argv: "-".join(argv[:2 + (argv[0] == "matrix")]),
+)
+def test_max_n_zero_is_a_cap_not_unset(cli, write, argv):
+    if "--n" not in argv:
+        argv += ("--metric", write(Metric(5, (F(1),) * 10)))
+    code, _, err = cli(*argv, "--max-n", "0")
+    assert code == 3 and err.startswith("error:")
+
+
 def test_cutcone_requires_mode(cli, write):
     assert cli("cutcone", "--metric", write(Metric(5, (F(1),) * 10)))[0] == 3
 

@@ -1,5 +1,6 @@
 """Cuts, cut enumerations, and the exact matrix constructions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cutcones.cut_algebra import (
     Cut,
     RationalMatrix,
+    combine_cuts,
     cut_metric_vector,
     enumerate_cuts,
     full_cut_matrix,
@@ -126,6 +128,22 @@ def test_cut_metric_vector_trivial_is_zero():
     assert cut_metric_vector(Cut(4, 0b1111)) == (F(0),) * 6
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_combine_cuts_is_the_sum_of_cut_metric_vectors(n):
+    rng = random.Random(n)
+    # every mask, trivial ones included, with signed non-integer weights
+    terms = [
+        (mask, F(rng.randint(-9, 9), rng.randint(1, 6))) for mask in range(1 << n)
+    ]
+    expected = [F(0)] * num_pairs(n)
+    for mask, w in terms:
+        for p, x in enumerate(cut_metric_vector(Cut(n, mask))):
+            expected[p] += w * x
+    assert combine_cuts(n, terms) == tuple(expected)
+    assert combine_cuts(n, []) == (F(0),) * num_pairs(n)
+    assert combine_cuts(n, [(1, 2), (1, -2)]) == (F(0),) * num_pairs(n)
+
+
 # ---------------------------------------------------------------------------
 # rational matrices
 
@@ -158,6 +176,23 @@ def test_matrix_rank_examples():
     assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert matrix_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
     assert matrix_rank([[F(0), F(0)]]) == 0
+    # non-integer rationals: the second row is 3/4 times the first
+    assert matrix_rank([[F(1, 3), F(-2, 5)], [F(1, 4), F(-3, 10)]]) == 1
+    assert matrix_rank([[F(1, 3), F(-2, 5)], [F(1, 4), F(3, 10)]]) == 2
+    # a zero leading entry forces a row swap
+    assert matrix_rank([[F(0), F(1), F(2)], [F(3), F(4), F(5)], [F(6), F(7), F(8)]]) == 2
+    assert matrix_rank([[F(0), F(1)], [F(1, 2), F(0)]]) == 2
+    # rows with a zero in the pivot column are still carried along
+    rows = [[0, 0, -1, -1], [0, 2, -1, 0], [1, 2, 0, 1], [1, 1, 0, 0], [0, 2, -2, -1]]
+    assert matrix_rank([[F(x) for x in row] for row in rows]) == 4
+    # rank-deficient 3 x 4: the third row is the sum of the first two
+    assert matrix_rank(
+        [
+            [F(1), F(2, 3), F(0), F(-1)],
+            [F(0), F(0), F(5, 7), F(2)],
+            [F(1), F(2, 3), F(5, 7), F(1)],
+        ]
+    ) == 2
 
 
 # ---------------------------------------------------------------------------

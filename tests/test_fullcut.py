@@ -12,8 +12,10 @@ from cutcones.cut_algebra import (
     enumerate_cuts,
     matrix_rank,
 )
+from cutcones import fullcut
 from cutcones.fullcut import (
     CutCertificate,
+    _cut_rank,
     apply_full_cut_matrix,
     candidate_solution,
     certificate_from_weights,
@@ -24,7 +26,7 @@ from cutcones.fullcut import (
     sufficient_condition,
     verify_cut_certificate,
 )
-from cutcones.metric import Metric, num_pairs, summarize
+from cutcones.metric import Metric, num_pairs, split_pairs, summarize
 from cutcones.oracle import random_cut_combination, random_semimetric
 from cutcones.sig import cocktail_party_graph, path_graph, truncated_metric, hypercube_graph
 
@@ -252,6 +254,38 @@ def test_psi_vector_input_validation():
         psi_vector(4, [])
     with pytest.raises(ValueError):
         psi_vector(4, [5])
+
+
+def test_psi_vector_respects_size_guard():
+    with pytest.raises(ValueError):
+        psi_vector(2, [1, 2])
+    with pytest.raises(ValueError):
+        psi_vector(6, [1, 2, 3], max_n=5)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cut_rank_is_the_enumeration_position(n):
+    for k, cut in enumerate(enumerate_cuts(n)):
+        assert _cut_rank(n, cut.member_list) == k
+
+
+def test_kernel_vector_entries_are_index_sorted():
+    for v in kernel_basis(7).vectors + (psi_vector(7, range(1, 8)),):
+        indices = [idx for idx, _ in v.entries]
+        assert indices == sorted(set(indices))
+
+
+def test_sufficient_traces_each_complement_class_once(monkeypatch):
+    traced = []
+
+    def counting(n, mask):
+        traced.append(mask)
+        return split_pairs(n, mask)
+
+    monkeypatch.setattr(fullcut, "split_pairs", counting)
+    d = metric_of_ints(6, [1] * 15)
+    assert sufficient_condition(d).status == "member"
+    assert len(traced) == len(set(traced)) == 2 ** 5 - 1
 
 
 def test_kernel_basis_dimension_formula():

@@ -12,6 +12,7 @@ from cutcones.metric import (
     cut_trace,
     num_pairs,
     pair_index,
+    split_pairs,
     summarize,
     validate_metric,
     vertex_pairs,
@@ -256,3 +257,23 @@ def test_pair_trace_identity():
         pair = Cut.from_members(6, [i, j])
         expected = s.star_trace(i) + s.star_trace(j) - 2 * d.distance(i, j)
         assert cut_trace(d, pair) == expected
+
+
+# ---------------------------------------------------------------------------
+# the pairs a cut splits
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_split_pairs_are_the_separated_pairs(n):
+    pairs = vertex_pairs(n)
+    for mask in range(1 << n):
+        cut = Cut(n, mask)
+        expected = [p for p, (i, j) in enumerate(pairs) if cut.separates(i, j)]
+        assert split_pairs(n, mask) == expected
+
+
+def test_split_pairs_rejects_out_of_range_masks():
+    with pytest.raises(ValueError):
+        split_pairs(4, 1 << 4)
+    with pytest.raises(ValueError):
+        split_pairs(4, -1)

@@ -280,6 +280,12 @@ def test_cut_certificate_rechecks_reject_bad_certificates():
     oracle._check_cut_witness(d, moved)
 
 
+def test_cut_farkas_recheck_rejects_the_smallest_positive_value():
+    # y is 1/7 on the pair {1, 2}: positive on the cut {1} alone
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_farkas(Metric(3, (F(1),) * 3), [F(1, 7), F(0), F(0)])
+
+
 def test_cutcone_size_guard():
     d = metric_of_ints(5, [1] * 10)
     with pytest.raises(ValueError):
