@@ -317,6 +317,14 @@ def _cmd_sig_star(args: argparse.Namespace) -> int:
 # object-producing commands
 
 
+def _dense_tokens(v: fullcut.KernelVector, length: int) -> list[str]:
+    """Tokens of v.dense(length), formatting only the stored entries."""
+    out = ["0"] * length
+    for idx, coeff in v.entries:
+        out[idx] = _q(coeff)
+    return out
+
+
 def _cmd_kernel(args: argparse.Namespace) -> int:
     max_n = args.max_n if args.max_n is not None else cut_algebra.DEFAULT_MAX_N
     basis = fullcut.kernel_basis(args.n, max_n=max_n)
@@ -328,7 +336,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
             "dimension": basis.dimension,
             "normative": basis.normative,
             "vectors": [
-                {"label": v.label, "entries": [_q(x) for x in v.dense(length)]}
+                {"label": v.label, "entries": _dense_tokens(v, length)}
                 for v in basis.vectors
             ],
         }
@@ -339,7 +347,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
             + ("" if basis.normative else " (non-normative below n=5)")
         ]
         for v in basis.vectors:
-            lines.append(v.label + ": " + " ".join(_q(x) for x in v.dense(length)))
+            lines.append(v.label + ": " + " ".join(_dense_tokens(v, length)))
         payload = "\n".join(lines) + "\n"
     _print_payload(payload, args.output)
     return EXIT_MEMBER

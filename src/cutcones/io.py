@@ -82,7 +82,7 @@ def parse_rational(value: Any) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Canonical token: "p" when integral, else "p/q" in lowest terms."""
-    return str(Fraction(q))
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def rational_to_json(q: Fraction) -> int | str:

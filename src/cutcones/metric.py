@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -119,31 +121,49 @@ class ValidationReport:
         return not (self.triangle_violations or self.negative_entries or self.zero_entries)
 
 
+def integer_entries(d: Metric) -> tuple[int, list[int]]:
+    """Common denominator q of the entries (their lcm) and q * d as ints."""
+    den = lcm(*(v.denominator for v in d.d))
+    return den, [v.numerator * (den // v.denominator) for v in d.d]
+
+
 def validate_metric(d: Metric, *, strict: bool = False) -> ValidationReport:
     """Check the semi-metric axioms (strict: also no zero off-diagonal).
 
     Symmetry and a zero diagonal hold by construction of Metric; what
     remains is nonnegativity and every triangle inequality
     d(i,j) <= d(i,k) + d(k,j).  All violations are reported, not just
-    the first.
+    the first, in (i, j, k) order.
+
+    The triangle check clears the denominators once (integer_entries)
+    and works on the symmetric n x n table of integers.  For each pair
+    i < j, rows i and j are summed and screened against d(i,j) in one
+    pass; only a pair whose screen fails is walked k by k.  The k = i
+    and k = j terms equal d(i,j), so they never trip the screen or show
+    up as violations.
     """
+    n = d.n
+    pairs = vertex_pairs(n)
+    den, entries = integer_entries(d)
+    rows = [[0] * n for _ in range(n)]
     negatives = []
     zeros = []
-    for i, j in vertex_pairs(d.n):
-        v = d.distance(i, j)
-        if v < 0:
+    for (i, j), x, v in zip(pairs, entries, d.d):
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = x
+        if x < 0:
             negatives.append((i, j, v))
-        elif strict and v == 0:
+        elif strict and x == 0:
             zeros.append((i, j))
     triangles = []
-    for i, j in vertex_pairs(d.n):
-        dij = d.distance(i, j)
-        for k in range(1, d.n + 1):
-            if k == i or k == j:
-                continue
-            slack = d.distance(i, k) + d.distance(k, j) - dij
+    for i, j in pairs:
+        row_i, row_j = rows[i - 1], rows[j - 1]
+        dij = row_i[j - 1]
+        if min(map(add, row_i, row_j)) >= dij:
+            continue
+        for k, (a, b) in enumerate(zip(row_i, row_j), start=1):
+            slack = a + b - dij
             if slack < 0:
-                triangles.append((i, j, k, slack))
+                triangles.append((i, j, k, Fraction(slack, den)))
     return ValidationReport(
         strict=strict,
         triangle_violations=tuple(triangles),

@@ -16,7 +16,8 @@ Nonnegativity of w(i,j) rearranges to the membership inequality
 with equality allowed (the cone is closed).  This module evaluates the
 weights, the inequalities, the per-vertex necessary condition
 (n-2) s_i >= Tr(d), and the constant-star shortcut.  All arithmetic is
-exact; verdicts on boundary cases depend on it.
+exact; verdicts on boundary cases depend on it.  The weights and
+slacks are evaluated in integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cutcones.metric import Metric, MetricSummary, summarize, vertex_pairs
+from cutcones.metric import Metric, integer_entries, summarize, vertex_pairs
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,34 @@ def paircut_weights(d: Metric) -> tuple[Fraction, ...]:
     n = d.n
     if n < 5:
         raise ValueError(f"closed-form weights require n >= 5, got n={n}")
-    s = summarize(d)
-    trace_term = Fraction(s.trace, (n - 2) * (n - 4))
-    half = Fraction(1, 2)
-    return tuple(
-        -half * d.distance(i, j)
-        - trace_term
-        + Fraction(s.star_traces[i - 1] + s.star_traces[j - 1], 2 * (n - 4))
-        for i, j in vertex_pairs(n)
-    )
+    return _weights(n, *_slack_numerators(d))
+
+
+def _slack_numerators(d: Metric) -> tuple[list[int], int]:
+    """Membership slacks in pair order over one common denominator.
+
+    With q clearing the denominators of d, (n-2) q times
+    s_i + s_j - (n-4) d(i,j) - 2 Tr/(n-2) is an integer; returns those
+    integers and (n-2) q.
+    """
+    n = d.n
+    den, entries = integer_entries(d)
+    pairs = vertex_pairs(n)
+    stars = [0] * n
+    for (i, j), x in zip(pairs, entries):
+        stars[i - 1] += x
+        stars[j - 1] += x
+    rhs = 2 * sum(entries)
+    numerators = [
+        (n - 2) * (stars[i - 1] + stars[j - 1] - (n - 4) * x) - rhs
+        for (i, j), x in zip(pairs, entries)
+    ]
+    return numerators, (n - 2) * den
+
+
+def _weights(n: int, numerators: list[int], den: int) -> tuple[Fraction, ...]:
+    # weight = slack / (2(n-4))
+    return tuple(Fraction(t, 2 * (n - 4) * den) for t in numerators)
 
 
 def paircut_membership(d: Metric) -> PaircutVerdict:
@@ -79,23 +99,17 @@ def paircut_membership(d: Metric) -> PaircutVerdict:
             f"closed-form membership requires n >= 5, got n={n}; "
             "use the exact oracle for smaller inputs"
         )
-    s = summarize(d)
-    rhs_const = Fraction(2 * s.trace, n - 2)
-    violations = []
-    for i, j in vertex_pairs(n):
-        slack = (
-            s.star_traces[i - 1]
-            + s.star_traces[j - 1]
-            - (n - 4) * d.distance(i, j)
-            - rhs_const
-        )
-        if slack < 0:
-            violations.append(((i, j), slack))
+    numerators, den = _slack_numerators(d)
+    violations = tuple(
+        ((i, j), Fraction(t, den))
+        for (i, j), t in zip(vertex_pairs(n), numerators)
+        if t < 0
+    )
     return PaircutVerdict(
         n=n,
         member=not violations,
-        weights=paircut_weights(d),
-        violations=tuple(violations),
+        weights=_weights(n, numerators, den),
+        violations=violations,
     )
 
 

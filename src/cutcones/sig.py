@@ -21,6 +21,7 @@ from cutcones.metric import (
     Metric,
     RationalLike,
     as_fraction,
+    integer_entries,
     validate_metric,
     vertex_pairs,
 )
@@ -148,11 +149,19 @@ def graph_metric(graph: SimpleGraph) -> Metric:
 
 def influence_radii(d: Metric) -> tuple[Fraction, ...]:
     """r_i = min over j != i of d(i, j); requires a strict metric."""
+    den, _, radii = _integer_radii(d)
+    return tuple(Fraction(r, den) for r in radii)
+
+
+def _integer_radii(d: Metric) -> tuple[int, list[int], list[int]]:
+    """Common denominator q, q * d in pair order and q * r_i per vertex."""
     _reject_non_strict(d)
-    return tuple(
-        min(d.distance(i, j) for j in range(1, d.n + 1) if j != i)
-        for i in range(1, d.n + 1)
-    )
+    den, entries = integer_entries(d)
+    rows = [[] for _ in range(d.n)]
+    for (i, j), x in zip(vertex_pairs(d.n), entries):
+        rows[i - 1].append(x)
+        rows[j - 1].append(x)
+    return den, entries, [min(row) for row in rows]
 
 
 def sig_graph(d: Metric) -> SimpleGraph:
@@ -161,13 +170,13 @@ def sig_graph(d: Metric) -> SimpleGraph:
     Ties (equality) are non-edges.  Rejects inputs with zero or
     negative off-diagonal entries or triangle violations.
     """
-    radii = influence_radii(d)
+    _, entries, radii = _integer_radii(d)
     return SimpleGraph.from_edges(
         d.n,
         (
             (i, j)
-            for i, j in vertex_pairs(d.n)
-            if d.distance(i, j) < radii[i - 1] + radii[j - 1]
+            for (i, j), x in zip(vertex_pairs(d.n), entries)
+            if x < radii[i - 1] + radii[j - 1]
         ),
     )
 
@@ -190,18 +199,19 @@ def verify_sig_metric(d: Metric, graph: SimpleGraph) -> SigReport:
     """Check that the SIG of d is exactly the given graph."""
     if graph.n != d.n:
         raise ValueError(f"graph on {graph.n} vertices vs metric on {d.n}")
-    radii = influence_radii(d)
+    den, entries, radii = _integer_radii(d)
     missing = []
     extra = []
-    for i, j in vertex_pairs(d.n):
-        joined = d.distance(i, j) < radii[i - 1] + radii[j - 1]
-        if graph.are_adjacent(i, j) and not joined:
+    for (i, j), x in zip(vertex_pairs(d.n), entries):
+        joined = x < radii[i - 1] + radii[j - 1]
+        adjacent = graph.adjacency[i - 1] >> (j - 1) & 1
+        if adjacent and not joined:
             missing.append((i, j))
-        elif joined and not graph.are_adjacent(i, j):
+        elif joined and not adjacent:
             extra.append((i, j))
     return SigReport(
         matches=not missing and not extra,
-        radii=radii,
+        radii=tuple(Fraction(r, den) for r in radii),
         missing_edges=tuple(missing),
         extra_edges=tuple(extra),
     )

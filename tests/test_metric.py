@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from cutcones import sig
 from cutcones.cut_algebra import Cut, cut_metric_vector, pair_cut
 from cutcones.metric import (
     Metric,
+    ValidationReport,
     as_fraction,
     cut_trace,
     num_pairs,
@@ -17,6 +19,7 @@ from cutcones.metric import (
     validate_metric,
     vertex_pairs,
 )
+from cutcones.oracle import random_semimetric
 
 from conftest import metric_of_ints
 
@@ -150,6 +153,69 @@ def test_validate_strict_mode_on_cut_metric():
     # zero inside the cut and inside the complement
     assert (1, 2) in strict.zero_entries
     assert (3, 4) in strict.zero_entries
+
+
+def naive_validate(d: Metric, strict: bool) -> ValidationReport:
+    """Reference: the axioms checked triple by triple through distance()."""
+    negatives, zeros, triangles = [], [], []
+    for i, j in vertex_pairs(d.n):
+        v = d.distance(i, j)
+        if v < 0:
+            negatives.append((i, j, v))
+        elif strict and v == 0:
+            zeros.append((i, j))
+    for i, j in vertex_pairs(d.n):
+        for k in range(1, d.n + 1):
+            if k not in (i, j):
+                slack = d.distance(i, k) + d.distance(k, j) - d.distance(i, j)
+                if slack < 0:
+                    triangles.append((i, j, k, slack))
+    return ValidationReport(strict, tuple(triangles), tuple(negatives), tuple(zeros))
+
+
+def random_entry(rng: random.Random) -> Fraction:
+    roll = rng.random()
+    if roll < 0.1:
+        return Fraction(0)
+    if roll < 0.2:
+        return Fraction(rng.randint(-4, -1), rng.choice([1, 2, 3]))
+    return Fraction(rng.randint(1, 24), rng.choice([1, 2, 3, 4, 5, 6, 7, 12]))
+
+
+def test_validate_matches_naive_triple_loop():
+    rng = random.Random(20261018)
+    for trial in range(600):
+        n = 2 + trial % 8
+        if trial % 3 == 0:
+            # a semi-metric, then nudged so a few triangles fail by little
+            d = random_semimetric(n, rng)
+            entries = list(d.d)
+            for _ in range(rng.randint(0, 2)):
+                p = rng.randrange(len(entries))
+                entries[p] += Fraction(rng.randint(1, 9), rng.choice([2, 3, 5, 8]))
+        else:
+            entries = [random_entry(rng) for _ in range(num_pairs(n))]
+        d = Metric(n, tuple(entries))
+        for strict in (False, True):
+            got = validate_metric(d, strict=strict)
+            assert got == naive_validate(d, strict)
+            assert all(type(s) is Fraction for *_, s in got.triangle_violations)
+
+
+def test_validate_and_sig_graph_do_not_call_distance(monkeypatch):
+    d = random_semimetric(40, random.Random(7))
+    expected_radii = tuple(
+        min(d.distance(i, j) for j in range(1, 41) if j != i) for i in range(1, 41)
+    )
+
+    def forbidden(self, i, j):
+        raise AssertionError("Metric.distance called")
+
+    monkeypatch.setattr(Metric, "distance", forbidden)
+    assert validate_metric(d, strict=True).valid
+    graph = sig.sig_graph(d)
+    assert sig.influence_radii(d) == expected_radii
+    assert sig.verify_sig_metric(d, graph).matches
 
 
 # ---------------------------------------------------------------------------

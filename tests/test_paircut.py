@@ -127,6 +127,23 @@ def test_member_weights_reconstruct_metric():
             assert tuple(total) == d.d
 
 
+def test_membership_pins_non_integer_non_member():
+    d = star_metric([F(1, 2), F(1), F(3, 2), F(2, 3)])
+    verdict = paircut_membership(d)
+    assert not verdict.member
+    assert verdict.weights == (
+        F(-13, 18), F(-2, 9), F(5, 18), F(-5, 9), F(5, 18),
+        F(7, 9), F(-1, 18), F(23, 18), F(4, 9), F(17, 18),
+    )
+    assert verdict.violations == (
+        ((1, 2), F(-13, 9)),
+        ((1, 3), F(-4, 9)),
+        ((1, 5), F(-10, 9)),
+        ((2, 5), F(-1, 9)),
+    )
+    assert verdict.weights == paircut_weights(d)
+
+
 def test_boundary_equality_is_membership():
     # the truncated 6-cycle attains the inequality with equality
     d = truncated_metric(cycle_graph(6))
