@@ -119,16 +119,30 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_MEMBER
 
 
-def _farkas_doc(n: int, farkas: tuple[Fraction, ...]) -> dict[str, Any]:
-    return {"n": n, "farkas": [_q(x) for x in farkas]}
+def _max_n(args: argparse.Namespace) -> dict[str, int]:
+    """max_n as a keyword argument when --max-n is given, else nothing."""
+    return {} if args.max_n is None else {"max_n": args.max_n}
+
+
+def _farkas_verdict(
+    args: argparse.Namespace, n: int, farkas: tuple[Fraction, ...], cone: str,
+    doc: dict[str, Any], lines: list[str],
+) -> None:
+    """Report a non-member's Farkas vector in doc, lines and --emit-farkas."""
+    doc["farkas"] = tokens = [_q(x) for x in farkas]
+    lines.append(f"NOT a member of the {cone}")
+    lines.append("farkas: " + " ".join(tokens))
+    if args.emit_farkas:
+        Path(args.emit_farkas).write_text(
+            json.dumps({"n": n, "farkas": tokens}, indent=2) + "\n"
+        )
 
 
 def _cmd_paircut(args: argparse.Namespace) -> int:
     d = _load_metric(args.metric)
     use_oracle = args.mode == "exact" or d.n < 5
     if use_oracle:
-        max_n = args.max_n if args.max_n is not None else oracle.DEFAULT_PAIRCUT_MAX_N
-        result = oracle.paircut_membership_exact(d, max_n=max_n)
+        result = oracle.paircut_membership_exact(d, **_max_n(args))
         doc: dict[str, Any] = {
             "command": "paircut",
             "mode": "exact",
@@ -143,13 +157,7 @@ def _cmd_paircut(args: argparse.Namespace) -> int:
             lines.append("member of the pair-cut cone")
             lines.append("weights: " + " ".join(_q(x) for x in result.witness))
         else:
-            doc["farkas"] = [_q(x) for x in result.farkas]
-            lines.append("NOT a member of the pair-cut cone")
-            lines.append("farkas: " + " ".join(_q(x) for x in result.farkas))
-            if args.emit_farkas:
-                Path(args.emit_farkas).write_text(
-                    json.dumps(_farkas_doc(d.n, result.farkas), indent=2) + "\n"
-                )
+            _farkas_verdict(args, d.n, result.farkas, "pair-cut cone", doc, lines)
         _emit_verdict(args, doc, lines)
         return EXIT_MEMBER if result.feasible else EXIT_NON_MEMBER
     verdict = paircut.paircut_membership(d)
@@ -186,8 +194,7 @@ def _certificate_lines(cert: fullcut.CutCertificate) -> list[str]:
 def _cmd_cutcone(args: argparse.Namespace) -> int:
     d = _load_metric(args.metric)
     if args.mode == "sufficient":
-        max_n = args.max_n if args.max_n is not None else cut_algebra.DEFAULT_MAX_N
-        verdict = fullcut.sufficient_condition(d, max_n=max_n)
+        verdict = fullcut.sufficient_condition(d, **_max_n(args))
         member = verdict.status == "member"
         doc: dict[str, Any] = {
             "command": "cutcone",
@@ -210,8 +217,7 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
                 lines.append(f"  failing cut {{{','.join(map(str, c.member_list))}}}")
         _emit_verdict(args, doc, lines)
         return EXIT_MEMBER if member else EXIT_INCONCLUSIVE
-    max_n = args.max_n if args.max_n is not None else oracle.DEFAULT_CUTCONE_MAX_N
-    result = oracle.cutcone_membership(d, max_n=max_n)
+    result = oracle.cutcone_membership(d, **_max_n(args))
     doc = {
         "command": "cutcone",
         "mode": "exact",
@@ -220,20 +226,14 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
     }
     lines = []
     if result.feasible:
-        cert = fullcut.certificate_from_weights(d.n, result.witness, max_n=max_n)
+        cert = fullcut.certificate_from_weights(d.n, result.witness, **_max_n(args))
         doc["certificate"] = cio.certificate_to_json(cert)
         lines.append("member of the cut cone")
         lines += _certificate_lines(cert)
         if args.emit_certificate:
             cio.write_certificate(cert, args.emit_certificate)
     else:
-        doc["farkas"] = [_q(x) for x in result.farkas]
-        lines.append("NOT a member of the cut cone")
-        lines.append("farkas: " + " ".join(_q(x) for x in result.farkas))
-        if args.emit_farkas:
-            Path(args.emit_farkas).write_text(
-                json.dumps(_farkas_doc(d.n, result.farkas), indent=2) + "\n"
-            )
+        _farkas_verdict(args, d.n, result.farkas, "cut cone", doc, lines)
     _emit_verdict(args, doc, lines)
     return EXIT_MEMBER if result.feasible else EXIT_NON_MEMBER
 
@@ -326,8 +326,7 @@ def _dense_tokens(v: fullcut.KernelVector, length: int) -> list[str]:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    max_n = args.max_n if args.max_n is not None else cut_algebra.DEFAULT_MAX_N
-    basis = fullcut.kernel_basis(args.n, max_n=max_n)
+    basis = fullcut.kernel_basis(args.n, **_max_n(args))
     length = (1 << args.n) - 2
     if _fmt(args) == "json":
         doc = {
@@ -392,19 +391,18 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 _MATRICES = {
-    "square": lambda n, max_n: cut_algebra.square_cut_matrix(n),
-    "incidence": lambda n, max_n: cut_algebra.incidence_matrix(n),
-    "inverse": lambda n, max_n: cut_algebra.inverse_square_cut_matrix(n),
-    "full": lambda n, max_n: cut_algebra.full_cut_matrix(n, max_n=max_n),
-    "proj-low": lambda n, max_n: cut_algebra.projectors(n)[0],
-    "proj-mid": lambda n, max_n: cut_algebra.projectors(n)[1],
-    "proj-top": lambda n, max_n: cut_algebra.projectors(n)[2],
+    "square": lambda n, **_: cut_algebra.square_cut_matrix(n),
+    "incidence": lambda n, **_: cut_algebra.incidence_matrix(n),
+    "inverse": lambda n, **_: cut_algebra.inverse_square_cut_matrix(n),
+    "full": cut_algebra.full_cut_matrix,
+    "proj-low": lambda n, **_: cut_algebra.projectors(n)[0],
+    "proj-mid": lambda n, **_: cut_algebra.projectors(n)[1],
+    "proj-top": lambda n, **_: cut_algebra.projectors(n)[2],
 }
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    max_n = args.max_n if args.max_n is not None else cut_algebra.DEFAULT_MAX_N
-    matrix: RationalMatrix = _MATRICES[args.which](args.n, max_n)
+    matrix: RationalMatrix = _MATRICES[args.which](args.n, **_max_n(args))
     if _fmt(args) == "json":
         doc = {
             "command": "matrix-dump",

@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Sequence
 
 from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, combine_cuts, enumerate_cuts
-from cutcones.metric import Metric, num_pairs, split_pairs, vertex_pairs
+from cutcones.metric import Metric, integer_entries, num_pairs, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 
@@ -73,6 +73,11 @@ def certificate_from_weights(
     cuts = enumerate_cuts(n, max_n=max_n)
     if len(weights) != len(cuts):
         raise ValueError(f"expected {len(cuts)} weights, got {len(weights)}")
+    return _certificate(n, cuts, weights)
+
+
+def _certificate(n: int, cuts: Sequence[Cut], weights: Sequence[Fraction]) -> CutCertificate:
+    """The cuts with nonzero weight and their weights."""
     kept = [(c, w) for c, w in zip(cuts, weights) if w]
     return CutCertificate(
         n=n,
@@ -130,8 +135,7 @@ def _slacks(d: Metric, max_n: int) -> tuple[list[Cut], list[Fraction]]:
     n = d.n
     cuts = enumerate_cuts(n, max_n=max_n)
     m1 = num_pairs(n) + 1
-    scale = lcm(*(x.denominator for x in d.d))
-    dd = [x.numerator * (scale // x.denominator) for x in d.d]
+    scale, dd = integer_entries(d)
     trace = sum(dd)
     half = [
         Fraction(
@@ -192,7 +196,7 @@ def sufficient_condition(
     cert = None
     if not failing:
         scale = Fraction(1, 2 ** (n - 2))
-        cert = certificate_from_weights(n, [scale * s for s in all_slacks], max_n=max_n)
+        cert = _certificate(n, cuts, [scale * s for s in all_slacks])
     return SufficiencyVerdict(
         n=n,
         status="inconclusive" if failing else "member",

@@ -1,5 +1,5 @@
-"""Exact feasibility oracle for cut-cone membership, plus seeded
-random metric generators for cross-checking the closed forms.
+"""Exact feasibility oracle for cut-cone and pair-cut-cone membership,
+plus seeded random metric generators for cross-checking closed forms.
 
 Membership of d in the cone generated by the columns of A is the
 feasibility of A w = d, w >= 0.  One phase-I simplex, `_phase_one`,
@@ -26,33 +26,32 @@ cross-multiplication.  The pivots are those a dense Fraction tableau
 [A | I] would take: scaling A and d by positive constants rescales w
 but changes no pivot and no Farkas vector.
 
-There are two callers:
+There are two front ends:
 
-  * lp_feasibility passes the columns of a RationalMatrix, scaled to
-    integers;
-  * cutcone_membership builds the 0/1 cut columns straight from the
-    cut bitmasks, with no cut-matrix.  A cut and its complement give
-    the same column, so it keeps one column per complement pair: the
-    one that comes first in enumerate_cuts order, which makes the kept
-    columns exactly the first 2^(n-1) - 1 cuts.  A dropped column has
-    at every step the reduced profit of its kept twin, which has a
-    smaller index, so Bland's rule would never let it enter (and it
-    is never basic): the pivots and certificates are those over all
-    2^n - 2 columns, and the dropped cuts get witness weight 0.
+  * lp_feasibility serves a general RationalMatrix, scaled to integers;
+  * _cone_membership builds each 0/1 column delta(mask) from a vertex
+    bitmask with split_pairs.  paircut_membership_exact passes the
+    pair cuts {i, j} in vertex_pairs order; cutcone_membership passes
+    one cut per complement pair (both give the same column), the first
+    in enumerate_cuts order, i.e. the first 2^(n-1) - 1 cuts.  A
+    dropped column has at every step the reduced profit of its kept
+    twin, which has a smaller index, so Bland's rule would never let
+    it enter (and it is never basic): the pivots and certificates are
+    those over all 2^n - 2 columns, and the dropped cuts get witness
+    weight 0.
 
 Bland's rule guarantees termination, and exact arithmetic makes the
 verdict a proof once the certificate, converted to Fractions, has been
-re-checked against the unscaled generators.  Each caller does that
+re-checked against the unscaled generators.  Each front end does that
 before it returns, and a failed re-check raises RuntimeError:
 
   * feasible: a nonnegative witness w with A w = d, checked by
-    substitution; for the cut cone, combine_cuts sums w over the
-    bitmasks of the enumerate_cuts cuts, not over the solver's
-    columns;
+    substitution; for the bitmask columns, combine_cuts sums w over
+    the same masks;
   * infeasible: a Farkas vector y with y . A_j <= 0 for every column
-    and y . d > 0, read off the final multipliers; for the cut cone
-    y . delta(S) <= 0 is checked on all 2^(n-1) - 1 cut classes, each
-    summed over the split_pairs of its bitmask.
+    and y . d > 0, read off the final multipliers; for the bitmask
+    columns y . delta(mask) is summed over the split_pairs of each
+    mask.
 
 Determinism: identical inputs take identical pivot sequences and
 return identical certificates.
@@ -67,13 +66,8 @@ from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
-from cutcones.cut_algebra import (
-    RationalMatrix,
-    combine_cuts,
-    enumerate_cuts,
-    square_cut_matrix,
-)
-from cutcones.metric import Metric, split_pairs, vertex_pairs
+from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, enumerate_cuts
+from cutcones.metric import Metric, integer_entries, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 
@@ -239,37 +233,41 @@ def _check_farkas(
 
 
 # ---------------------------------------------------------------------------
-# the cut cone, column by column from bitmasks
+# the cones of cut metrics, column by column from bitmasks
 
 
-def _cut_columns(n: int) -> list[Column]:
-    """0/1 columns of the first 2^(n-1) - 1 cuts in enumerate_cuts order.
+def _cone_membership(d: Metric, masks: Sequence[int]) -> FeasibilityResult:
+    """Membership of d in the cone of the cut metrics delta(mask).
 
-    These are one cut of each complement pair: with 1-based ranks the
-    complement of the k-th cut is the (2^n - 1 - k)-th.
+    The witness follows the order of masks; both certificates are
+    re-checked over the same masks.
     """
-    cuts = enumerate_cuts(n, max_n=n)[: (1 << (n - 1)) - 1]
-    return [(tuple(split_pairs(n, c.members)), None) for c in cuts]
+    scale, b = integer_entries(d)
+    result = _phase_one([(tuple(split_pairs(d.n, mask)), None) for mask in masks], b)
+    if not result.feasible:
+        _check_cut_farkas(d, masks, result.farkas)
+        return result
+    witness = tuple(w / scale for w in result.witness)
+    _check_cut_witness(d, masks, witness)
+    return replace(result, witness=witness)
 
 
-def _check_cut_witness(d: Metric, witness: Sequence[Fraction]) -> None:
-    """Sum of witness-weighted cut metrics, in enumerate_cuts order, is d."""
-    if any(w < 0 for w in witness):
+def _check_cut_witness(d: Metric, masks: Sequence[int], w: Sequence[Fraction]) -> None:
+    """Sum of the w-weighted cut metrics delta(mask) is d."""
+    if any(x < 0 for x in w):
         raise RuntimeError("simplex produced a negative witness entry")
-    cuts = enumerate_cuts(d.n, max_n=d.n)
-    if combine_cuts(d.n, ((c.members, w) for c, w in zip(cuts, witness))) != d.d:
+    if combine_cuts(d.n, zip(masks, w)) != d.d:
         raise RuntimeError("simplex witness fails M w = d")
 
 
-def _check_cut_farkas(d: Metric, y: Sequence[Fraction]) -> None:
-    """y . delta(S) <= 0 on every cut class and y . d > 0.
+def _check_cut_farkas(d: Metric, masks: Sequence[int], y: Sequence[Fraction]) -> None:
+    """y . delta(mask) <= 0 on every mask and y . d > 0.
 
-    The classes are the masks without vertex n, one per complement
-    pair; y is cleared of denominators first, which keeps every sign.
+    y is cleared of denominators first, which keeps every sign.
     """
     scale = lcm(*(x.denominator for x in y))
     weighted = [x.numerator * (scale // x.denominator) for x in y]
-    for mask in range(1, 1 << (d.n - 1)):
+    for mask in masks:
         if sum(weighted[p] for p in split_pairs(d.n, mask)) > 0:
             raise RuntimeError("Farkas vector is positive on a cut metric")
     if sum(yi * x for yi, x in zip(y, d.d)) <= 0:
@@ -290,16 +288,11 @@ def cutcone_membership(
         raise ValueError(f"n={d.n} exceeds the cut-cone oracle maximum {max_n}")
     if d.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={d.n}")
-    scale = lcm(*(x.denominator for x in d.d))
-    b = [x.numerator * (scale // x.denominator) for x in d.d]
-    result = _phase_one(_cut_columns(d.n), b)
+    cuts = enumerate_cuts(d.n, max_n=d.n)
+    result = _cone_membership(d, [c.members for c in cuts[: len(cuts) // 2]])
     if not result.feasible:
-        _check_cut_farkas(d, result.farkas)
         return result
-    kept = tuple(w / scale for w in result.witness)
-    witness = kept + (_ZERO,) * len(kept)
-    _check_cut_witness(d, witness)
-    return replace(result, witness=witness)
+    return replace(result, witness=result.witness + (_ZERO,) * len(result.witness))
 
 
 def paircut_membership_exact(
@@ -307,15 +300,16 @@ def paircut_membership_exact(
 ) -> FeasibilityResult:
     """Exact membership of d in the pair-cut cone, any n >= 3.
 
-    Unlike the closed form this covers n in {3, 4}; for n >= 5 the two
-    must agree, and on membership the witness is the unique weight
-    vector (the pair-cut matrix is invertible there).
+    Witness weights follow vertex_pairs order.  Unlike the closed form
+    this covers n in {3, 4}; for n >= 5 the two must agree, and on
+    membership the witness is the unique weight vector (the pair-cut
+    matrix is invertible there).
     """
     if d.n > max_n:
         raise ValueError(f"n={d.n} exceeds the pair-cut oracle maximum {max_n}")
     if d.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={d.n}")
-    return lp_feasibility(square_cut_matrix(d.n), d.d)
+    return _cone_membership(d, [1 << (i - 1) | 1 << (j - 1) for i, j in vertex_pairs(d.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +352,7 @@ def random_cut_combination(
     low: int = 0,
     high: int = 3,
     denom: int = 4,
-    max_n: int = 16,
+    max_n: int = DEFAULT_MAX_N,
 ) -> Metric:
     """Nonnegative random combination of all nontrivial cut metrics.
 

@@ -580,20 +580,24 @@ def test_deeply_nested_json_is_an_internal_error(cli, write):
 
 
 @pytest.mark.parametrize(
-    "check,d",
+    "command,check,d",
     [
-        ("_check_cut_witness", graph_metric(path_graph(5))),
-        ("_check_cut_farkas", truncated_metric(family("B", 2, 3))),
+        ("cutcone", "_check_cut_witness", graph_metric(path_graph(5))),
+        ("cutcone", "_check_cut_farkas", truncated_metric(family("B", 2, 3))),
+        ("paircut", "_check_cut_witness", Metric(5, cut_metric_vector(Cut.from_members(5, (1, 2))))),
+        ("paircut", "_check_cut_farkas", truncated_metric(family("B", 2, 3))),
     ],
-    ids=["witness", "farkas"],
+    ids=["witness", "farkas", "paircut-witness", "paircut-farkas"],
 )
-def test_failed_certificate_recheck_is_an_internal_error(cli, write, monkeypatch, check, d):
+def test_failed_certificate_recheck_is_an_internal_error(
+    cli, write, monkeypatch, command, check, d
+):
     # a certificate that fails its re-check must never read as a verdict
     def fail(*args):
         raise RuntimeError("certificate fails its re-check")
 
     monkeypatch.setattr(oracle, check, fail)
-    code, out, err = cli("cutcone", "exact", "--metric", write(d))
+    code, out, err = cli(command, "exact", "--metric", write(d))
     assert code == EXIT_INTERNAL
     assert out == "" and "fails its re-check" in err
 

@@ -14,6 +14,7 @@ from cutcones.cut_algebra import (
     cut_metric_vector,
     enumerate_cuts,
     full_cut_matrix,
+    inverse_square_cut_matrix,
     pair_cut,
     square_cut_matrix,
 )
@@ -249,41 +250,87 @@ def test_degenerate_classes_at_n10():
     check_farkas(full_cut_matrix(10), d.d, result.farkas)
 
 
+def all_cut_masks(n):
+    return [c.members for c in enumerate_cuts(n)]
+
+
+def pair_cut_masks(n):
+    return [1 << (i - 1) | 1 << (j - 1) for i, j in vertex_pairs(n)]
+
+
 def test_cut_certificate_rechecks_reject_bad_certificates():
     d = truncated_metric(complete_bipartite_graph(2, 3))
+    masks = all_cut_masks(5)
     y = list(cutcone_membership(d).farkas)
-    oracle._check_cut_farkas(d, y)
+    oracle._check_cut_farkas(d, masks, y)
     # raising y on the pair {4, 5} by enough makes it positive on the
     # cuts that split that pair, all of which hold vertex 4 or 5
     y[-1] += 100
     with pytest.raises(RuntimeError):
-        oracle._check_cut_farkas(d, y)
+        oracle._check_cut_farkas(d, masks, y)
     with pytest.raises(RuntimeError):
-        oracle._check_cut_farkas(d, [F(0)] * len(y))
+        oracle._check_cut_farkas(d, masks, [F(0)] * len(y))
 
     d = graph_metric(path_graph(5))
     w = list(cutcone_membership(d).witness)
-    oracle._check_cut_witness(d, w)
+    oracle._check_cut_witness(d, masks, w)
     k = next(i for i, x in enumerate(w) if x)
     twin = len(w) - 1 - k  # the complement: the same cut metric
     moved = list(w)
     moved[k] += F(1, 2)
     with pytest.raises(RuntimeError):
-        oracle._check_cut_witness(d, moved)
+        oracle._check_cut_witness(d, masks, moved)
     moved = list(w)
     moved[k] += 1
     moved[twin] -= 1
     with pytest.raises(RuntimeError):
-        oracle._check_cut_witness(d, moved)
+        oracle._check_cut_witness(d, masks, moved)
     moved = list(w)
     moved[k], moved[twin] = F(0), w[k]
-    oracle._check_cut_witness(d, moved)
+    oracle._check_cut_witness(d, masks, moved)
 
 
 def test_cut_farkas_recheck_rejects_the_smallest_positive_value():
     # y is 1/7 on the pair {1, 2}: positive on the cut {1} alone
     with pytest.raises(RuntimeError):
-        oracle._check_cut_farkas(Metric(3, (F(1),) * 3), [F(1, 7), F(0), F(0)])
+        oracle._check_cut_farkas(
+            Metric(3, (F(1),) * 3), all_cut_masks(3), [F(1, 7), F(0), F(0)]
+        )
+
+
+def test_pair_cut_certificate_rechecks_reject_bad_certificates(figure_eight_d0):
+    masks = pair_cut_masks(7)
+    d = figure_eight_d0
+    y = list(paircut_membership_exact(d).farkas)
+    oracle._check_cut_farkas(d, masks, y)
+    # raising y on the pair {1, 2} by enough makes it positive on the
+    # pair cuts {1, k} and {2, k}, which split that pair
+    y[0] += 100
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_farkas(d, masks, y)
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_farkas(d, masks, [F(0)] * len(y))
+    # row k of the inverse pair-cut matrix is 1 on the k-th pair cut and
+    # 0 on every other one, so each pair cut must be looked at
+    inverse = inverse_square_cut_matrix(7)
+    for k in range(len(masks)):
+        with pytest.raises(RuntimeError):
+            oracle._check_cut_farkas(d, masks, inverse.row(k))
+
+    d = random_paircut_combination(7, random.Random(8))
+    w = list(paircut_membership_exact(d).witness)
+    oracle._check_cut_witness(d, masks, w)
+    # the pair cuts are independent for n >= 5, so any moved weight
+    # changes the sum
+    k = next(i for i, x in enumerate(w) if x)
+    moved = list(w)
+    moved[k] += F(1, 4)
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_witness(d, masks, moved)
+    moved = list(w)
+    moved[k] = -moved[k]
+    with pytest.raises(RuntimeError):
+        oracle._check_cut_witness(d, masks, moved)
 
 
 def test_cutcone_size_guard():
@@ -333,6 +380,32 @@ def test_paircut_exact_agrees_with_closed_form():
             if result.feasible:
                 # the square system has a unique solution for n >= 5
                 assert result.witness == verdict.weights
+
+
+def test_paircut_exact_equals_the_dense_oracle():
+    # the bitmask front end must take the pivots of lp_feasibility on
+    # the square cut-matrix and return the same certificates
+    rng = random.Random(31)
+    seen = set()
+    for n in range(3, 10):
+        matrix = square_cut_matrix(n)
+        m = n * (n - 1) // 2
+        metrics = [
+            random_paircut_combination(n, rng),
+            random_paircut_combination(n, rng, high=2, denom=3),
+            random_semimetric(n, rng),
+            random_semimetric(n, rng, low=1, high=3, denom=7),
+            # signed pair-cut weights: members and non-members alike
+            Metric(n, matrix.mul_vector([F(rng.randint(-1, 6), 2) for _ in range(m)])),
+            # any rational entries, some negative
+            Metric(n, tuple(F(rng.randint(-6, 12), rng.randint(1, 5)) for _ in range(m))),
+        ]
+        for d in metrics:
+            got = paircut_membership_exact(d)
+            want = lp_feasibility(matrix, d.d)
+            assert got == want and got.pivots == want.pivots
+            seen.add(got.feasible)
+    assert seen == {True, False}
 
 
 def test_paircut_exact_witness_matches_closed_form_weights():
