@@ -6,9 +6,12 @@ that is 1 on pairs split by C and 0 elsewhere.  This module provides:
   * the canonical enumeration of the 2^n - 2 nontrivial cuts, graded
     by cardinality and lexicographic within each cardinality, whose
     complement rule pairs the k-th cut with the (2^n - 1 - k)-th
-    (1-based ranks);
+    (1-based ranks): cut_masks gives their bitmasks, enumerate_cuts
+    the Cut objects;
   * combine_cuts, the pair-indexed sum of weighted cut metrics, built
-    like every cut vector here on metric.split_pairs;
+    like every cut vector here on metric.split_pairs and summed in
+    integers over the weights' common denominator
+    (metric.integer_entries);
   * the square cut-matrix (pair cuts only), its eigenprojectors and
     its exact inverse for n >= 5;
   * the vertex-pair incidence matrix behind the projector formulas;
@@ -24,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Sequence
 
-from cutcones.metric import num_pairs, split_pairs, vertex_pairs
+from cutcones.metric import integer_entries, num_pairs, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -90,8 +92,9 @@ def pair_cut(n: int, i: int, j: int) -> Cut:
     return Cut.from_members(n, (i, j))
 
 
-def enumerate_cuts(n: int, *, max_n: int = DEFAULT_MAX_N) -> list[Cut]:
-    """All 2^n - 2 nontrivial cuts, graded by size then lexicographic.
+def cut_masks(n: int, *, max_n: int = DEFAULT_MAX_N) -> list[int]:
+    """Bitmasks of all 2^n - 2 nontrivial cuts, graded by size then
+    lexicographic.
 
     The order makes the complement rule hold: with 1-based ranks, the
     complement of the k-th cut is the (2^n - 1 - k)-th.
@@ -100,11 +103,13 @@ def enumerate_cuts(n: int, *, max_n: int = DEFAULT_MAX_N) -> list[Cut]:
         raise ValueError(f"need at least 3 vertices, got n={n}")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
-    cuts = []
-    for size in range(1, n):
-        for members in combinations(range(1, n + 1), size):
-            cuts.append(Cut.from_members(n, members))
-    return cuts
+    bits = [1 << v for v in range(n)]
+    return [sum(c) for size in range(1, n) for c in combinations(bits, size)]
+
+
+def enumerate_cuts(n: int, *, max_n: int = DEFAULT_MAX_N) -> list[Cut]:
+    """All 2^n - 2 nontrivial cuts, in cut_masks order."""
+    return [Cut(n, mask) for mask in cut_masks(n, max_n=max_n)]
 
 
 def combine_cuts(
@@ -115,11 +120,10 @@ def combine_cuts(
     The weights are cleared of denominators first, so the sum runs in
     integers over one common denominator.
     """
-    terms = [(mask, Fraction(w)) for mask, w in terms if w]
-    scale = lcm(*(w.denominator for _, w in terms))
+    terms = [(mask, w) for mask, w in terms if w]
+    scale, weights = integer_entries(w for _, w in terms)
     total = [0] * num_pairs(n)
-    for mask, w in terms:
-        k = w.numerator * (scale // w.denominator)
+    for (mask, _), k in zip(terms, weights):
         for p in split_pairs(n, mask):
             total[p] += k
     return tuple(Fraction(x, scale) for x in total)
@@ -256,11 +260,7 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     rows becomes (x * piv - f * p) / denom, with denom the previous
     pivot, and the division is exact (the results are minors).
     """
-    work = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+    work = [integer_entries(row)[1] for row in rows]
     if not work:
         return 0
     rank = 0

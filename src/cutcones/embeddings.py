@@ -16,6 +16,9 @@ contributes at most 1, so the max distance is 1 on edges and 2 on
 non-edges.  Since the truncated metric of a connected graph has
 sphere-of-influence graph exactly G, the embedding also realizes G as
 the SIG of n points.
+
+induced_metric clears the coordinates of denominators once and takes
+every distance in integers; verify_isometry compares it with d.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from cutcones.fullcut import CutCertificate
-from cutcones.metric import Metric, vertex_pairs
+from cutcones.metric import Metric, integer_entries, vertex_pairs
 from cutcones.sig import SimpleGraph
 
 _ZERO = Fraction(0)
@@ -62,18 +65,20 @@ def point_distance(
         raise ValueError("points must share one dimension")
     diffs = [abs(a - b) for a, b in zip(x, y)]
     if norm == "l1":
-        return sum(diffs, _ZERO)
+        return Fraction(sum(diffs))
     if norm == "linf":
-        return max(diffs, default=_ZERO)
+        return Fraction(max(diffs, default=0))
     raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
 
 
 def induced_metric(points: PointSet) -> Metric:
-    """Pairwise-distance metric of the point set (needs >= 2 points)."""
-    pts = points.points
+    """Pairwise-distance metric of the point set (needs >= 2 points),
+    taken between integer rows over the coordinates' common denominator."""
+    n, dim = len(points.points), points.dimension
+    scale, flat = integer_entries(x for p in points.points for x in p)
+    rows = [flat[k * dim : (k + 1) * dim] for k in range(n)]
     return Metric.from_function(
-        len(pts),
-        lambda i, j: point_distance(pts[i - 1], pts[j - 1], points.norm),
+        n, lambda i, j: point_distance(rows[i - 1], rows[j - 1], points.norm) / scale
     )
 
 
@@ -93,13 +98,12 @@ def verify_isometry(points: PointSet, d: Metric) -> IsometryReport:
     """Exactly compare every pairwise distance against d."""
     if len(points.points) != d.n:
         raise ValueError(f"{len(points.points)} points vs metric on {d.n} vertices")
-    mismatches = []
-    for i, j in vertex_pairs(d.n):
-        got = point_distance(points.points[i - 1], points.points[j - 1], points.norm)
-        want = d.distance(i, j)
-        if got != want:
-            mismatches.append(((i, j), got, want))
-    return IsometryReport(norm=points.norm, mismatches=tuple(mismatches))
+    mismatches = tuple(
+        (pair, got, want)
+        for pair, got, want in zip(vertex_pairs(d.n), induced_metric(points).d, d.d)
+        if got != want
+    )
+    return IsometryReport(norm=points.norm, mismatches=mismatches)
 
 
 def l1_embedding(cert: CutCertificate) -> PointSet:

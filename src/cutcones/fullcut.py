@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, combine_cuts, enumerate_cuts
+from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, combine_cuts, cut_masks
 from cutcones.metric import Metric, integer_entries, num_pairs, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
@@ -70,18 +70,18 @@ def certificate_from_weights(
     n: int, weights: Sequence[Fraction], *, max_n: int = DEFAULT_MAX_N
 ) -> CutCertificate:
     """Package a full weight vector (enumerate_cuts order), dropping zeros."""
-    cuts = enumerate_cuts(n, max_n=max_n)
-    if len(weights) != len(cuts):
-        raise ValueError(f"expected {len(cuts)} weights, got {len(weights)}")
-    return _certificate(n, cuts, weights)
+    masks = cut_masks(n, max_n=max_n)
+    if len(weights) != len(masks):
+        raise ValueError(f"expected {len(masks)} weights, got {len(weights)}")
+    return _certificate(n, masks, weights)
 
 
-def _certificate(n: int, cuts: Sequence[Cut], weights: Sequence[Fraction]) -> CutCertificate:
+def _certificate(n: int, masks: Sequence[int], weights: Sequence[Fraction]) -> CutCertificate:
     """The cuts with nonzero weight and their weights."""
-    kept = [(c, w) for c, w in zip(cuts, weights) if w]
+    kept = [(mask, w) for mask, w in zip(masks, weights) if w]
     return CutCertificate(
         n=n,
-        cuts=tuple(c for c, _ in kept),
+        cuts=tuple(Cut(n, mask) for mask, _ in kept),
         weights=tuple(w for _, w in kept),
     )
 
@@ -124,8 +124,8 @@ def verify_cut_certificate(cert: CutCertificate, d: Metric) -> CertificateReport
 # the minimum-norm candidate and the sufficient condition
 
 
-def _slacks(d: Metric, max_n: int) -> tuple[list[Cut], list[Fraction]]:
-    """The cuts in enumerate_cuts order and each one's slack
+def _slacks(d: Metric, max_n: int) -> tuple[list[int], list[Fraction]]:
+    """The cut masks in enumerate_cuts order and each cut's slack
     s_C - |C|(n-|C|) Tr(d)/(m+1).
 
     Complements sit at mirrored ranks and have equal slack, so only
@@ -133,19 +133,19 @@ def _slacks(d: Metric, max_n: int) -> tuple[list[Cut], list[Fraction]]:
     of denominators.
     """
     n = d.n
-    cuts = enumerate_cuts(n, max_n=max_n)
+    masks = cut_masks(n, max_n=max_n)
     m1 = num_pairs(n) + 1
-    scale, dd = integer_entries(d)
+    scale, dd = integer_entries(d.d)
     trace = sum(dd)
     half = [
         Fraction(
-            m1 * sum(dd[p] for p in split_pairs(n, c.members))
-            - trace * c.size * (n - c.size),
+            m1 * sum(dd[p] for p in split_pairs(n, mask))
+            - trace * mask.bit_count() * (n - mask.bit_count()),
             m1 * scale,
         )
-        for c in cuts[: len(cuts) // 2]
+        for mask in masks[: len(masks) // 2]
     ]
-    return cuts, half + half[::-1]
+    return masks, half + half[::-1]
 
 
 def candidate_solution(
@@ -190,13 +190,13 @@ def sufficient_condition(
     the cut cone and the candidate weights form a certificate.
     """
     n = d.n
-    cuts, all_slacks = _slacks(d, max_n)
-    slacks = tuple((c, s) for c, s in zip(cuts, all_slacks) if c.members & 1)
+    masks, all_slacks = _slacks(d, max_n)
+    slacks = tuple((Cut(n, mask), s) for mask, s in zip(masks, all_slacks) if mask & 1)
     failing = tuple(c for c, s in slacks if s < 0)
     cert = None
     if not failing:
         scale = Fraction(1, 2 ** (n - 2))
-        cert = _certificate(n, cuts, [scale * s for s in all_slacks])
+        cert = _certificate(n, masks, [scale * s for s in all_slacks])
     return SufficiencyVerdict(
         n=n,
         status="inconclusive" if failing else "member",
@@ -265,6 +265,10 @@ def phi_vector(n: int, k: int, *, max_n: int = DEFAULT_MAX_N) -> KernelVector:
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
+    if n < 3:
+        raise ValueError(f"need at least 3 vertices, got n={n}")
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
     total = (1 << n) - 2
     return KernelVector(
         label=f"phi_{k}",
@@ -331,5 +335,5 @@ def apply_full_cut_matrix(
     indexing.  Avoids materializing the matrix; used to check kernel
     membership (all-zero image).
     """
-    cuts = enumerate_cuts(n, max_n=max_n)
-    return combine_cuts(n, ((cuts[idx].members, coeff) for idx, coeff in entries))
+    masks = cut_masks(n, max_n=max_n)
+    return combine_cuts(n, ((masks[idx], coeff) for idx, coeff in entries))

@@ -121,10 +121,12 @@ class ValidationReport:
         return not (self.triangle_violations or self.negative_entries or self.zero_entries)
 
 
-def integer_entries(d: Metric) -> tuple[int, list[int]]:
-    """Common denominator q of the entries (their lcm) and q * d as ints."""
-    den = lcm(*(v.denominator for v in d.d))
-    return den, [v.numerator * (den // v.denominator) for v in d.d]
+def integer_entries(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
+    """Common denominator q of the ints and Fractions in values (their
+    lcm, 1 for no values) and q * x for each value x, as ints."""
+    values = tuple(values)
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def validate_metric(d: Metric, *, strict: bool = False) -> ValidationReport:
@@ -144,7 +146,7 @@ def validate_metric(d: Metric, *, strict: bool = False) -> ValidationReport:
     """
     n = d.n
     pairs = vertex_pairs(n)
-    den, entries = integer_entries(d)
+    den, entries = integer_entries(d.d)
     rows = [[0] * n for _ in range(n)]
     negatives = []
     zeros = []

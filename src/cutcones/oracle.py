@@ -62,11 +62,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
-from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, enumerate_cuts
+from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, cut_masks
 from cutcones.metric import Metric, integer_entries, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
@@ -189,24 +188,23 @@ def lp_feasibility(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> Feasibili
     """Decide M w = d, w >= 0 exactly; certificate is re-verified."""
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} != row count {matrix.rows}")
-    target = [Fraction(x) for x in rhs]
     # Integer columns s_m M and right-hand side s_b d; the core's
     # witness is then s_b / s_m times that of M w = d.
-    s_m = lcm(*(x.denominator for row in matrix.entries for x in row))
-    s_b = lcm(*(x.denominator for x in target))
+    s_m, flat = integer_entries(x for row in matrix.entries for x in row)
+    s_b, b = integer_entries(rhs)
     columns: list[Column] = []
-    for col in zip(*matrix.entries):
+    for c in range(matrix.cols):
+        col = flat[c :: matrix.cols]
         rows = tuple(i for i, x in enumerate(col) if x)
-        vals = tuple(col[i].numerator * (s_m // col[i].denominator) for i in rows)
+        vals = tuple(col[i] for i in rows)
         columns.append((rows, None if all(x == 1 for x in vals) else vals))
-    b = [x.numerator * (s_b // x.denominator) for x in target]
     result = _phase_one(columns, b)
     if not result.feasible:
-        _check_farkas(matrix, target, result.farkas)
+        _check_farkas(matrix, rhs, result.farkas)
         return result
     factor = Fraction(s_m, s_b)
     witness = tuple(w * factor for w in result.witness)
-    _check_witness(matrix, target, witness)
+    _check_witness(matrix, rhs, witness)
     return replace(result, witness=witness)
 
 
@@ -242,7 +240,7 @@ def _cone_membership(d: Metric, masks: Sequence[int]) -> FeasibilityResult:
     The witness follows the order of masks; both certificates are
     re-checked over the same masks.
     """
-    scale, b = integer_entries(d)
+    scale, b = integer_entries(d.d)
     result = _phase_one([(tuple(split_pairs(d.n, mask)), None) for mask in masks], b)
     if not result.feasible:
         _check_cut_farkas(d, masks, result.farkas)
@@ -265,8 +263,7 @@ def _check_cut_farkas(d: Metric, masks: Sequence[int], y: Sequence[Fraction]) ->
 
     y is cleared of denominators first, which keeps every sign.
     """
-    scale = lcm(*(x.denominator for x in y))
-    weighted = [x.numerator * (scale // x.denominator) for x in y]
+    weighted = integer_entries(y)[1]
     for mask in masks:
         if sum(weighted[p] for p in split_pairs(d.n, mask)) > 0:
             raise RuntimeError("Farkas vector is positive on a cut metric")
@@ -288,8 +285,8 @@ def cutcone_membership(
         raise ValueError(f"n={d.n} exceeds the cut-cone oracle maximum {max_n}")
     if d.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={d.n}")
-    cuts = enumerate_cuts(d.n, max_n=d.n)
-    result = _cone_membership(d, [c.members for c in cuts[: len(cuts) // 2]])
+    masks = cut_masks(d.n, max_n=d.n)
+    result = _cone_membership(d, masks[: len(masks) // 2])
     if not result.feasible:
         return result
     return replace(result, witness=result.witness + (_ZERO,) * len(result.witness))
@@ -361,8 +358,8 @@ def random_cut_combination(
     if low < 0:
         raise ValueError("weights must stay nonnegative")
     terms = [
-        (c.members, random_rational(rng, low=low, high=high, denom=denom))
-        for c in enumerate_cuts(n, max_n=max_n)
+        (mask, random_rational(rng, low=low, high=high, denom=denom))
+        for mask in cut_masks(n, max_n=max_n)
     ]
     return Metric(n, combine_cuts(n, terms))
 

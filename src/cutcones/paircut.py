@@ -67,7 +67,7 @@ def _slack_numerators(d: Metric) -> tuple[list[int], int]:
     integers and (n-2) q.
     """
     n = d.n
-    den, entries = integer_entries(d)
+    den, entries = integer_entries(d.d)
     pairs = vertex_pairs(n)
     stars = [0] * n
     for (i, j), x in zip(pairs, entries):

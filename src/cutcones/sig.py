@@ -156,7 +156,7 @@ def influence_radii(d: Metric) -> tuple[Fraction, ...]:
 def _integer_radii(d: Metric) -> tuple[int, list[int], list[int]]:
     """Common denominator q, q * d in pair order and q * r_i per vertex."""
     _reject_non_strict(d)
-    den, entries = integer_entries(d)
+    den, entries = integer_entries(d.d)
     rows = [[] for _ in range(d.n)]
     for (i, j), x in zip(vertex_pairs(d.n), entries):
         rows[i - 1].append(x)

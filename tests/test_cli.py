@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import cutcones
 from cutcones import io as cio
 from cutcones import oracle
 from cutcones.cli import EXIT_INTERNAL, main
@@ -249,6 +250,20 @@ def test_cutcone_exact_member_with_certificate(cli, write, tmp_path):
     assert code == 0
     assert "member of the cut cone" in out
     assert cli("verify-cert", "--cert", str(cert_path), "--metric", metric_path)[0] == 0
+
+
+def test_cutcone_exact_member_never_enumerates_cut_objects(cli, write, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+
+    for module in vars(cutcones).values():
+        if hasattr(module, "enumerate_cuts"):
+            monkeypatch.setattr(module, "enumerate_cuts", spy)
+    code, out, _ = cli("cutcone", "exact", "--metric", write(graph_metric(family("C", 6))))
+    assert code == 0 and "member of the cut cone" in out
+    assert calls == []
 
 
 def test_cutcone_exact_non_member_farkas(cli, write, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from cutcones.cut_algebra import Cut
 from cutcones.embeddings import (
+    NORMS,
     PointSet,
     induced_metric,
     l1_embedding,
@@ -15,7 +16,7 @@ from cutcones.embeddings import (
     verify_isometry,
 )
 from cutcones.fullcut import CutCertificate, certificate_metric
-from cutcones.metric import Metric
+from cutcones.metric import Metric, vertex_pairs
 from cutcones.sig import (
     SimpleGraph,
     complete_graph,
@@ -87,6 +88,57 @@ def test_verify_isometry_size_mismatch():
     ps = PointSet(norm="l1", points=((F(0),), (F(1),)))
     with pytest.raises(ValueError):
         verify_isometry(ps, metric_of_ints(3, [1, 1, 1]))
+
+
+# Coordinates mixing ints and Fractions of unrelated denominators, signs
+# of both kinds.
+MIXED_POINTS = (
+    (F(1, 2), F(-2), 3),
+    (F(1, 3), 0, F(7, 4)),
+    (F(-5, 6), F(1, 4), F(9, 10)),
+    (2, F(-1, 5), F(3, 8)),
+)
+
+
+def fraction_distance(x, y, norm):
+    """The per-pair distance in Fraction arithmetic, coordinate by coordinate."""
+    diffs = [abs(F(a) - F(b)) for a, b in zip(x, y)]
+    return sum(diffs, F(0)) if norm == "l1" else max(diffs, default=F(0))
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_induced_metric_and_isometry_on_mixed_denominators(norm):
+    ps = PointSet(norm=norm, points=MIXED_POINTS)
+    pairs = vertex_pairs(4)
+    want = tuple(
+        fraction_distance(MIXED_POINTS[i - 1], MIXED_POINTS[j - 1], norm) for i, j in pairs
+    )
+    d = induced_metric(ps)
+    assert d.d == want
+    assert all(type(x) is F for x in d.d)
+    assert verify_isometry(ps, d).ok
+
+    off = Metric(4, tuple(x + F(1, 7) if k % 2 else x for k, x in enumerate(want)))
+    report = verify_isometry(ps, off)
+    assert report.mismatches == tuple(
+        (pair, got, x) for pair, got, x in zip(pairs, want, off.d) if got != x
+    )
+    assert len(report.mismatches) == 3
+    assert all(type(got) is F for _, got, _ in report.mismatches)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_points_of_dimension_zero(norm):
+    if norm == "l1":
+        ps = l1_embedding(CutCertificate(n=4, cuts=(), weights=()))
+    else:
+        ps = PointSet(norm=norm, points=((),) * 4)
+    assert ps.dimension == 0
+    assert induced_metric(ps).d == (F(0),) * 6
+    assert verify_isometry(ps, Metric(4, (F(0),) * 6)).ok
+    report = verify_isometry(ps, metric_of_ints(4, [0, 1, 0, 0, 0, 2]))
+    assert report.mismatches == (((1, 3), F(0), F(1)), ((3, 4), F(0), F(2)))
+    assert all(type(got) is F for _, got, _ in report.mismatches)
 
 
 # ---------------------------------------------------------------------------

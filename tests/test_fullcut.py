@@ -236,6 +236,17 @@ def test_phi_vector_bounds():
         phi_vector(4, 4)
 
 
+def test_phi_vector_rejects_fewer_than_three_vertices():
+    with pytest.raises(ValueError, match="need at least 3 vertices, got n=2"):
+        phi_vector(2, 1)
+
+
+def test_phi_vector_respects_max_n():
+    with pytest.raises(ValueError, match="n=6 exceeds the configured maximum 5"):
+        phi_vector(6, 1, max_n=5)
+    assert phi_vector(5, 1, max_n=5).entries == ((0, F(1)), (29, F(-1)))
+
+
 def test_psi_vectors_match_printed_four_point_table():
     printed = {
         (1, 2, 3): (-1, -1, -1, 0, 1, 1, 0, 1, 0, 0, -1, 0, 0, 0),

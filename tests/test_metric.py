@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from cutcones import sig
+from cutcones.embeddings import PointSet, verify_isometry
 from cutcones.cut_algebra import Cut, cut_metric_vector, pair_cut
 from cutcones.metric import (
     Metric,
     ValidationReport,
     as_fraction,
     cut_trace,
+    integer_entries,
     num_pairs,
     pair_index,
     split_pairs,
@@ -211,11 +213,27 @@ def test_validate_and_sig_graph_do_not_call_distance(monkeypatch):
     def forbidden(self, i, j):
         raise AssertionError("Metric.distance called")
 
+    # Frechet embedding: row i of d is a max-norm point, isometric to d.
+    frechet = PointSet(
+        norm="linf",
+        points=tuple(tuple(d.distance(i, k) for k in range(1, 41)) for i in range(1, 41)),
+    )
+
     monkeypatch.setattr(Metric, "distance", forbidden)
     assert validate_metric(d, strict=True).valid
     graph = sig.sig_graph(d)
     assert sig.influence_radii(d) == expected_radii
     assert sig.verify_sig_metric(d, graph).matches
+    assert verify_isometry(frechet, d).ok
+
+
+def test_integer_entries_clears_one_common_denominator():
+    values = [3, Fraction(-1, 4), Fraction(5, 6), 0, -2, Fraction(-7, 3)]
+    assert integer_entries(values) == (12, [36, -3, 10, 0, -24, -28])
+    assert integer_entries(iter(values)) == integer_entries(tuple(values))
+    assert integer_entries([4, -5]) == (1, [4, -5])
+    assert integer_entries([Fraction(-3, 2)]) == (2, [-3])
+    assert integer_entries([]) == (1, [])
 
 
 # ---------------------------------------------------------------------------
