@@ -12,6 +12,7 @@ Inputs default to stdin ("-").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -226,7 +227,8 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
     }
     lines = []
     if result.feasible:
-        cert = fullcut.certificate_from_weights(d.n, result.witness, **_max_n(args))
+        # the oracle has applied the --max-n cap to this very n
+        cert = fullcut.certificate_from_weights(d.n, result.witness, max_n=d.n)
         doc["certificate"] = cio.certificate_to_json(cert)
         lines.append("member of the cut cone")
         lines += _certificate_lines(cert)
@@ -423,6 +425,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cutcones",

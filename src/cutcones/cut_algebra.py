@@ -13,17 +13,21 @@ that is 1 on pairs split by C and 0 elsewhere.  This module provides:
     integers over the weights' common denominator
     (metric.integer_entries);
   * the square cut-matrix (pair cuts only), its eigenprojectors and
-    its exact inverse for n >= 5;
+    its exact inverse for n >= 5, each written down in closed form:
+    entry (p, q) depends only on |p & q|, the number of vertices the
+    pairs p and q share (they lie in the Johnson scheme J(n, 2); the
+    entry formulas are in projectors and inverse_square_cut_matrix);
   * the vertex-pair incidence matrix behind the projector formulas;
   * the full cut-matrix with one column per nontrivial cut.
 
-All matrices are dense tuples of Fractions.  Zero/one entries are
-interned so even the widest configured case (n = 16, a 120 x 65534
-full cut-matrix) stays within desk-scale memory.
+All matrices are dense tuples of Fractions.  Repeated entries are
+shared objects, so even the widest configured case (n = 16, a
+120 x 65534 full cut-matrix) stays within desk-scale memory.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -219,16 +223,18 @@ class RationalMatrix:
         )
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Exact product, each dot product summed in integers."""
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = other.transpose().entries
+        rows = [integer_entries(row) for row in self.entries]
+        cols = [integer_entries(col) for col in other.transpose().entries]
         return RationalMatrix(
             self.rows, other.cols,
             tuple(
-                tuple(_dot(row, col) for col in cols)
-                for row in self.entries
+                tuple(Fraction(sum(map(operator.mul, a, b)), qa * qb) for qb, b in cols)
+                for qa, a in rows
             ),
         )
 
@@ -286,17 +292,26 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 # the square cut-matrix (pair cuts) and its spectral pieces
 
 
+def _pair_overlap_matrix(n: int, values: Sequence[Fraction | int]) -> RationalMatrix:
+    """m x m matrix over the pairs in lexicographic order with entry
+    (p, q) = values[|p & q|]; values[2] is the diagonal."""
+    v = tuple(map(Fraction, values))
+    pairs = vertex_pairs(n)
+    return RationalMatrix.from_rows(
+        [[v[(i in q) + (j in q)] for q in pairs] for i, j in pairs]
+    )
+
+
 def square_cut_matrix(n: int) -> RationalMatrix:
     """m x m matrix, m = n(n-1)/2: column for each pair cut {i, j}.
 
-    Entry (p, q) is 1 iff pair cut q splits vertex pair p, which makes
-    it the adjacency matrix of the line graph of the complete graph:
+    Entry (p, q) is 1 iff pair cut q splits vertex pair p (|p & q| = 1):
+    the adjacency matrix of the line graph of the complete graph,
     symmetric, zero diagonal, every row summing to 2(n-2).
     """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got n={n}")
-    columns = [cut_metric_vector(pair_cut(n, i, j)) for i, j in vertex_pairs(n)]
-    return RationalMatrix.from_rows(list(zip(*columns)))
+    return _pair_overlap_matrix(n, (0, 1, 0))
 
 
 def incidence_matrix(n: int) -> RationalMatrix:
@@ -315,57 +330,36 @@ def incidence_matrix(n: int) -> RationalMatrix:
     )
 
 
-def _column_space_projector(n: int) -> RationalMatrix:
-    """Orthogonal projector onto the column space of B^T.
-
-    Uses (B B^T)^{-1} = (1/(n-2)) I - (1/(2(n-1)(n-2))) J, which is a
-    closed form valid for all n >= 3.
-    """
-    b = incidence_matrix(n)
-    inv = (
-        RationalMatrix.identity(n)
-        .scale(Fraction(1, n - 2))
-        .sub(RationalMatrix.ones(n, n).scale(Fraction(1, 2 * (n - 1) * (n - 2))))
-    )
-    return b.transpose().mul(inv).mul(b)
-
-
 def projectors(n: int) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
     """Eigenprojectors of the square cut-matrix for n >= 5.
 
     Returned in eigenvalue order (-2, n-4, 2n-4) with ranks
     n(n-3)/2, n-1 and 1.  They are symmetric, idempotent, mutually
     annihilating, and sum to the identity; the matrix itself is
-    -2 P_low + (n-4) P_mid + (2n-4) P_top.
+    -2 P_low + (n-4) P_mid + (2n-4) P_top.  With P_col = B^T (B B^T)^-1 B,
+    B the incidence matrix: P_col(p, q) = |p & q|/(n-2) - 2/((n-1)(n-2)),
+    P_top = J/m, P_mid = P_col - P_top and P_low = I - P_col.
     """
     if n < 5:
         raise ValueError(f"distinct eigenvalues require n >= 5, got n={n}")
-    m = num_pairs(n)
-    p_col = _column_space_projector(n)
-    p_top = RationalMatrix.ones(m, m).scale(Fraction(1, m))
-    p_mid = p_col.sub(p_top)
-    p_low = RationalMatrix.identity(m).sub(p_col)
-    return p_low, p_mid, p_top
+    top = Fraction(1, num_pairs(n))
+    col = [Fraction(k, n - 2) - Fraction(2, (n - 1) * (n - 2)) for k in range(3)]
+    low = (-col[0], -col[1], 1 - col[2])
+    return tuple(_pair_overlap_matrix(n, v) for v in (low, [x - top for x in col], [top] * 3))
 
 
 def inverse_square_cut_matrix(n: int) -> RationalMatrix:
     """Exact inverse of the square cut-matrix, n >= 5.
 
-    -(1/2) I - (n / (2(n-2)(n-4))) P_top + ((n-2) / (2(n-4))) P_col.
-    The matrix is singular at n = 4 (eigenvalue n-4 vanishes), so that
-    case is rejected rather than approximated.
+    Entry (p, q) is -[p = q]/2 + |p & q|/(2(n-4)) - 1/((n-2)(n-4)),
+    the matrix form of the pair-cut weights in paircut.  The matrix is
+    singular at n = 4 (eigenvalue n-4 vanishes), so that case is
+    rejected rather than approximated.
     """
     if n < 5:
         raise ValueError(f"square cut-matrix is invertible only for n >= 5, got n={n}")
-    m = num_pairs(n)
-    p_col = _column_space_projector(n)
-    p_top = RationalMatrix.ones(m, m).scale(Fraction(1, m))
-    return (
-        RationalMatrix.identity(m)
-        .scale(Fraction(-1, 2))
-        .sub(p_top.scale(Fraction(n, 2 * (n - 2) * (n - 4))))
-        .add(p_col.scale(Fraction(n - 2, 2 * (n - 4))))
-    )
+    base, step = Fraction(-1, (n - 2) * (n - 4)), Fraction(1, 2 * (n - 4))
+    return _pair_overlap_matrix(n, (base, base + step, base + 2 * step - Fraction(1, 2)))
 
 
 def full_cut_matrix(n: int, *, max_n: int = DEFAULT_MAX_N) -> RationalMatrix:

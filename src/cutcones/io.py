@@ -87,7 +87,7 @@ def format_rational(q: Fraction) -> str:
 
 def rational_to_json(q: Fraction) -> int | str:
     """JSON value: a plain int when integral, else a "p/q" string."""
-    q = Fraction(q)
+    q = q if isinstance(q, Fraction) else Fraction(q)
     return q.numerator if q.denominator == 1 else str(q)
 
 

@@ -304,6 +304,20 @@ def test_max_n_zero_is_a_cap_not_unset(cli, write, argv):
     assert code == 3 and err.startswith("error:")
 
 
+def test_cutcone_exact_certificate_keeps_a_lifted_cap(cli, write, monkeypatch):
+    # --max-n above the cut enumeration's default of 16 must reach the
+    # certificate too, not only the oracle
+    d = Metric(17, cut_metric_vector(Cut.from_members(17, (1,))))
+    witness = (F(1),) + (F(0),) * (2**17 - 3)
+    monkeypatch.setattr(
+        oracle, "cutcone_membership",
+        lambda d, **_: oracle.FeasibilityResult(True, witness, None),
+    )
+    code, out, err = cli("cutcone", "exact", "--max-n", "17", "--metric", write(d))
+    assert (code, err) == (0, "")
+    assert "member of the cut cone" in out
+
+
 def test_cutcone_requires_mode(cli, write):
     assert cli("cutcone", "--metric", write(Metric(5, (F(1),) * 10)))[0] == 3
 
@@ -615,6 +629,18 @@ def test_failed_certificate_recheck_is_an_internal_error(
     code, out, err = cli(command, "exact", "--metric", write(d))
     assert code == EXIT_INTERNAL
     assert out == "" and "fails its re-check" in err
+
+
+def test_consecutive_calls_share_no_state(cli, write):
+    path = write(Metric(5, (F(1),) * 10))
+    code, out, _ = cli("stats", "--format", "json", "--metric", path)
+    assert code == 0 and json.loads(out)["command"] == "stats"
+    code, out, _ = cli("stats", "--metric", path)
+    assert code == 0 and out.startswith("n = 5\n")
+    d = write(truncated_metric(family("B", 2, 3)))
+    assert cli("paircut", "exact", "--max-n", "4", "--metric", d)[0] == 3
+    code, out, _ = cli("paircut", "exact", "--metric", d)
+    assert code == 1 and "NOT a member" in out
 
 
 def test_format_flag_accepted_before_and_after_subcommand(cli, write):

@@ -215,9 +215,10 @@ def test_square_cut_matrix_four_points():
 
 
 def test_square_cut_matrix_columns_are_pair_cuts():
-    s = square_cut_matrix(5)
-    for col, (i, j) in enumerate(vertex_pairs(5)):
-        assert s.column(col) == cut_metric_vector(pair_cut(5, i, j))
+    for n in range(3, 9):
+        s = square_cut_matrix(n)
+        for col, (i, j) in enumerate(vertex_pairs(n)):
+            assert s.column(col) == cut_metric_vector(pair_cut(n, i, j))
 
 
 def test_square_cut_matrix_row_sums():
@@ -282,7 +283,7 @@ def test_projector_ranks_five_points():
 
 
 def test_projector_algebra():
-    for n in (5, 6):
+    for n in range(5, 11):
         p_low, p_mid, p_top = projectors(n)
         m = num_pairs(n)
         eye = RationalMatrix.identity(m)
@@ -308,9 +309,10 @@ def test_projectors_reject_degenerate_size():
 
 
 def test_inverse_square_cut_matrix():
-    a = square_cut_matrix(5)
-    inv = inverse_square_cut_matrix(5)
-    assert a.mul(inv).entries == RationalMatrix.identity(10).entries
+    for n in range(5, 11):
+        a = square_cut_matrix(n)
+        inv = inverse_square_cut_matrix(n)
+        assert a.mul(inv).entries == RationalMatrix.identity(num_pairs(n)).entries
 
 
 def test_inverse_on_all_ones_vector():
