@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from cutcones import cut_algebra, embeddings, fullcut, io as cio, metric as cm
 from cutcones import oracle, paircut, sig
@@ -63,7 +63,9 @@ def _fmt(args: argparse.Namespace) -> str:
     return args.format or "text"
 
 
-def _emit_verdict(args: argparse.Namespace, doc: dict[str, Any], lines: list[str]) -> None:
+def _emit_verdict(args: argparse.Namespace, doc: dict[str, Any], lines: Iterable[str]) -> None:
+    """Print doc as JSON or lines as text; lines is read in text mode
+    only, so it may be a generator that formats nothing under json."""
     if _fmt(args) == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
@@ -127,16 +129,16 @@ def _max_n(args: argparse.Namespace) -> dict[str, int]:
 
 def _farkas_verdict(
     args: argparse.Namespace, n: int, farkas: tuple[Fraction, ...], cone: str,
-    doc: dict[str, Any], lines: list[str],
-) -> None:
-    """Report a non-member's Farkas vector in doc, lines and --emit-farkas."""
+    doc: dict[str, Any],
+) -> list[str]:
+    """Report a non-member's Farkas vector in doc and --emit-farkas, and
+    return its two text lines."""
     doc["farkas"] = tokens = [_q(x) for x in farkas]
-    lines.append(f"NOT a member of the {cone}")
-    lines.append("farkas: " + " ".join(tokens))
     if args.emit_farkas:
         Path(args.emit_farkas).write_text(
             json.dumps({"n": n, "farkas": tokens}, indent=2) + "\n"
         )
+    return [f"NOT a member of the {cone}", "farkas: " + " ".join(tokens)]
 
 
 def _cmd_paircut(args: argparse.Namespace) -> int:
@@ -158,7 +160,7 @@ def _cmd_paircut(args: argparse.Namespace) -> int:
             lines.append("member of the pair-cut cone")
             lines.append("weights: " + " ".join(_q(x) for x in result.witness))
         else:
-            _farkas_verdict(args, d.n, result.farkas, "pair-cut cone", doc, lines)
+            lines += _farkas_verdict(args, d.n, result.farkas, "pair-cut cone", doc)
         _emit_verdict(args, doc, lines)
         return EXIT_MEMBER if result.feasible else EXIT_NON_MEMBER
     verdict = paircut.paircut_membership(d)
@@ -185,11 +187,16 @@ def _cmd_paircut(args: argparse.Namespace) -> int:
     return EXIT_MEMBER if verdict.member else EXIT_NON_MEMBER
 
 
-def _certificate_lines(cert: fullcut.CutCertificate) -> list[str]:
-    return [
-        f"  cut {{{','.join(map(str, c.member_list))}}} weight {_q(w)}"
-        for c, w in zip(cert.cuts, cert.weights)
-    ]
+def _member_lines(head: str, cert: fullcut.CutCertificate) -> Iterator[str]:
+    yield head
+    for c, w in zip(cert.cuts, cert.weights):
+        yield f"  cut {{{','.join(map(str, c.member_list))}}} weight {_q(w)}"
+
+
+def _inconclusive_lines(failing: tuple[cut_algebra.Cut, ...]) -> Iterator[str]:
+    yield "inconclusive: candidate decomposition has negative weights"
+    for c in failing:
+        yield f"  failing cut {{{','.join(map(str, c.member_list))}}}"
 
 
 def _cmd_cutcone(args: argparse.Namespace) -> int:
@@ -204,18 +211,16 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
             "status": verdict.status,
             "failing_cuts": [list(c.member_list) for c in verdict.failing],
         }
-        lines = []
         if member:
-            lines.append("member of the cut cone (candidate decomposition is nonnegative)")
             cert = verdict.certificate
             doc["certificate"] = cio.certificate_to_json(cert)
-            lines += _certificate_lines(cert)
+            lines = _member_lines(
+                "member of the cut cone (candidate decomposition is nonnegative)", cert
+            )
             if args.emit_certificate:
                 cio.write_certificate(cert, args.emit_certificate)
         else:
-            lines.append("inconclusive: candidate decomposition has negative weights")
-            for c in verdict.failing:
-                lines.append(f"  failing cut {{{','.join(map(str, c.member_list))}}}")
+            lines = _inconclusive_lines(verdict.failing)
         _emit_verdict(args, doc, lines)
         return EXIT_MEMBER if member else EXIT_INCONCLUSIVE
     result = oracle.cutcone_membership(d, **_max_n(args))
@@ -225,17 +230,15 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
         "n": d.n,
         "member": result.feasible,
     }
-    lines = []
     if result.feasible:
         # the oracle has applied the --max-n cap to this very n
         cert = fullcut.certificate_from_weights(d.n, result.witness, max_n=d.n)
         doc["certificate"] = cio.certificate_to_json(cert)
-        lines.append("member of the cut cone")
-        lines += _certificate_lines(cert)
+        lines = _member_lines("member of the cut cone", cert)
         if args.emit_certificate:
             cio.write_certificate(cert, args.emit_certificate)
     else:
-        _farkas_verdict(args, d.n, result.farkas, "cut cone", doc, lines)
+        lines = _farkas_verdict(args, d.n, result.farkas, "cut cone", doc)
     _emit_verdict(args, doc, lines)
     return EXIT_MEMBER if result.feasible else EXIT_NON_MEMBER
 
@@ -253,15 +256,20 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
             for c, w in report.negative_weights
         ],
     }
-    lines = ["certificate valid" if report.valid else "certificate INVALID"]
-    for c, w in report.negative_weights:
-        lines.append(f"  negative weight {_q(w)} on cut {{{','.join(map(str, c.member_list))}}}")
     if report.mismatch is not None:
         (i, j), got, want = report.mismatch
         doc["mismatch"] = {"i": i, "j": j, "reconstructed": _q(got), "expected": _q(want)}
-        lines.append(f"  first mismatch at ({i},{j}): reconstructed {_q(got)}, expected {_q(want)}")
-    _emit_verdict(args, doc, lines)
+    _emit_verdict(args, doc, _verify_lines(report))
     return EXIT_MEMBER if report.valid else EXIT_NON_MEMBER
+
+
+def _verify_lines(report: fullcut.CertificateReport) -> Iterator[str]:
+    yield "certificate valid" if report.valid else "certificate INVALID"
+    for c, w in report.negative_weights:
+        yield f"  negative weight {_q(w)} on cut {{{','.join(map(str, c.member_list))}}}"
+    if report.mismatch is not None:
+        (i, j), got, want = report.mismatch
+        yield f"  first mismatch at ({i},{j}): reconstructed {_q(got)}, expected {_q(want)}"
 
 
 def _cmd_sig_verify(args: argparse.Namespace) -> int:

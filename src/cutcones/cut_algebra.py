@@ -8,10 +8,14 @@ that is 1 on pairs split by C and 0 elsewhere.  This module provides:
     complement rule pairs the k-th cut with the (2^n - 1 - k)-th
     (1-based ranks): cut_masks gives their bitmasks, enumerate_cuts
     the Cut objects;
-  * combine_cuts, the pair-indexed sum of weighted cut metrics, built
-    like every cut vector here on metric.split_pairs and summed in
-    integers over the weights' common denominator
-    (metric.integer_entries);
+  * two whole-table recurrences over the 2^(n-1) complement classes
+    (a cut and its complement split the same pairs), each O(2^n) and
+    in integers: cut_traces, the trace of every cut at once, and the
+    dense path of combine_cuts, the pair-indexed sum of weighted cut
+    metrics over the weights' common denominator
+    (metric.integer_entries).  A sum of fewer terms than there are
+    nontrivial classes, and every single cut vector, is built from
+    metric.split_pairs instead;
   * the square cut-matrix (pair cuts only), its eigenprojectors and
     its exact inverse for n >= 5, each written down in closed form:
     entry (p, q) depends only on |p & q|, the number of vertices the
@@ -33,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from cutcones.metric import integer_entries, num_pairs, split_pairs, vertex_pairs
+from cutcones.metric import integer_entries, num_pairs, pair_index, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -116,21 +120,90 @@ def enumerate_cuts(n: int, *, max_n: int = DEFAULT_MAX_N) -> list[Cut]:
     return [Cut(n, mask) for mask in cut_masks(n, max_n=max_n)]
 
 
+def cut_traces(n: int, values: Sequence[int]) -> list[int]:
+    """Cut traces of pair-indexed ints: entry mask is the sum of
+    values[p] over the pairs p that mask splits, for every mask below
+    2^(n-1), i.e. every cut that leaves out vertex n.  A cut and its
+    complement have the same trace, so any mask is looked up at
+    min(mask, full ^ mask), full = 2^n - 1.
+
+    Adding vertex v to a set S of smaller vertices splits v from every
+    vertex outside S and rejoins it to those in S:
+    s[S + v] = s[S] + star(v) - 2 t_v[S], with t_v[S] the sum of
+    values(i, v) over i in S, built by doubling.  One list
+    comprehension per vertex, O(2^n) in all.
+    """
+    if len(values) != num_pairs(n):
+        raise ValueError(f"{n} vertices need {num_pairs(n)} pair values, got {len(values)}")
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(vertex_pairs(n), values):
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = x
+    traces = [0]
+    for v in range(n - 1):
+        row = rows[v]
+        star = sum(row)
+        twice_inside = [0]
+        for i in range(v):
+            x = 2 * row[i]
+            twice_inside += [t + x for t in twice_inside]
+        traces += [s + star - t for s, t in zip(traces, twice_inside)]
+    return traces
+
+
 def combine_cuts(
     n: int, terms: Iterable[tuple[int, Fraction | int]]
 ) -> tuple[Fraction, ...]:
     """Pair-indexed sum of w * delta(mask) over (mask, w) terms.
 
     The weights are cleared of denominators first, so the sum runs in
-    integers over one common denominator.
+    integers over one common denominator.  With at least 2^(n-1) - 1
+    nonzero terms, as many as there are nontrivial complement classes,
+    the sum comes from one table over the classes (_table_cut_sum),
+    which is then no larger than the input; fewer terms are added cut
+    by cut over split_pairs.  A mask outside 0 .. 2^n - 1 raises
+    ValueError on either path.
     """
     terms = [(mask, w) for mask, w in terms if w]
     scale, weights = integer_entries(w for _, w in terms)
-    total = [0] * num_pairs(n)
-    for (mask, _), k in zip(terms, weights):
-        for p in split_pairs(n, mask):
-            total[p] += k
+    masks = [mask for mask, _ in terms]
+    if len(terms) >= (1 << (n - 1)) - 1:
+        total = _table_cut_sum(n, masks, weights)
+    else:
+        total = [0] * num_pairs(n)
+        for mask, k in zip(masks, weights):
+            for p in split_pairs(n, mask):
+                total[p] += k
     return tuple(Fraction(x, scale) for x in total)
+
+
+def _table_cut_sum(n: int, masks: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """Pair-indexed sum of k * delta(mask), O(2^n) after the fold.
+
+    The weights are folded onto a table over the masks that leave out
+    the last vertex v (a mask holding v goes to its complement).  Then
+    d(i, v) is the total weight of the entries that hold i: halving
+    sums give it for every i < v, each halving adding the upper half
+    (vertex i in) onto the lower.  Dropping v, the new last vertex
+    v - 1 is folded the same way: entry S of the lower half takes the
+    entry of its complement in {1, ..., v-1}, which is the upper half
+    read backwards.
+    """
+    full = (1 << n) - 1
+    table = [0] * (1 << (n - 1))
+    for mask, k in zip(masks, weights):
+        if not 0 <= mask <= full:
+            raise ValueError(f"bitmask {mask:#x} out of range for n={n}")
+        table[min(mask, full ^ mask)] += k
+    total = [0] * num_pairs(n)
+    for v in range(n, 1, -1):
+        sums = table
+        for i in range(v - 1, 0, -1):
+            half = len(sums) // 2
+            total[pair_index(i, v, n)] = sum(sums[half:])
+            sums = list(map(operator.add, sums[:half], sums[half:]))
+        half = len(table) // 2
+        table = list(map(operator.add, table[:half], reversed(table[half:])))
+    return total
 
 
 def cut_metric_vector(cut: Cut) -> tuple[Fraction, ...]:

@@ -32,8 +32,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, combine_cuts, cut_masks
-from cutcones.metric import Metric, integer_entries, num_pairs, split_pairs, vertex_pairs
+from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, combine_cuts, cut_masks, cut_traces
+from cutcones.metric import Metric, integer_entries, num_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 
@@ -124,28 +124,29 @@ def verify_cut_certificate(cert: CutCertificate, d: Metric) -> CertificateReport
 # the minimum-norm candidate and the sufficient condition
 
 
-def _slacks(d: Metric, max_n: int) -> tuple[list[int], list[Fraction]]:
-    """The cut masks in enumerate_cuts order and each cut's slack
-    s_C - |C|(n-|C|) Tr(d)/(m+1).
+def _slacks(d: Metric, max_n: int) -> tuple[list[int], list[int], int]:
+    """The cut masks in enumerate_cuts order, each cut's slack
+    s_C - |C|(n-|C|) Tr(d)/(m+1) as an integer numerator, and the
+    slacks' common denominator.
 
-    Complements sit at mirrored ranks and have equal slack, so only
-    the first half of the cuts is traced, in integers with d cleared
-    of denominators.
+    Every cut trace s_C is read off one cut_traces table, in integers
+    with d cleared of denominators.  Complements sit at mirrored ranks
+    and have equal slack, so only the first half of the cuts is
+    evaluated.
     """
     n = d.n
     masks = cut_masks(n, max_n=max_n)
     m1 = num_pairs(n) + 1
     scale, dd = integer_entries(d.d)
     trace = sum(dd)
+    traces = cut_traces(n, dd)
+    full = (1 << n) - 1
     half = [
-        Fraction(
-            m1 * sum(dd[p] for p in split_pairs(n, mask))
-            - trace * mask.bit_count() * (n - mask.bit_count()),
-            m1 * scale,
-        )
+        m1 * traces[min(mask, full ^ mask)]
+        - trace * mask.bit_count() * (n - mask.bit_count())
         for mask in masks[: len(masks) // 2]
     ]
-    return masks, half + half[::-1]
+    return masks, half + half[::-1], m1 * scale
 
 
 def candidate_solution(
@@ -156,8 +157,9 @@ def candidate_solution(
     Always satisfies the linear system exactly (checked property, not
     assumption); entries may be negative.  Linear in d.
     """
-    scale = Fraction(1, 2 ** (d.n - 2))
-    return tuple(scale * s for s in _slacks(d, max_n)[1])
+    _, slacks, den = _slacks(d, max_n)
+    den <<= d.n - 2
+    return tuple(Fraction(s, den) for s in slacks)
 
 
 @dataclass(frozen=True)
@@ -190,13 +192,14 @@ def sufficient_condition(
     the cut cone and the candidate weights form a certificate.
     """
     n = d.n
-    masks, all_slacks = _slacks(d, max_n)
-    slacks = tuple((Cut(n, mask), s) for mask, s in zip(masks, all_slacks) if mask & 1)
-    failing = tuple(c for c, s in slacks if s < 0)
+    masks, all_slacks, den = _slacks(d, max_n)
+    reps = [(Cut(n, mask), s) for mask, s in zip(masks, all_slacks) if mask & 1]
+    slacks = tuple((c, Fraction(s, den)) for c, s in reps)
+    failing = tuple(c for c, s in reps if s < 0)
     cert = None
     if not failing:
-        scale = Fraction(1, 2 ** (n - 2))
-        cert = _certificate(n, masks, [scale * s for s in all_slacks])
+        den <<= n - 2
+        cert = _certificate(n, masks, [Fraction(s, den) for s in all_slacks])
     return SufficiencyVerdict(
         n=n,
         status="inconclusive" if failing else "member",

@@ -49,9 +49,9 @@ before it returns, and a failed re-check raises RuntimeError:
     substitution; for the bitmask columns, combine_cuts sums w over
     the same masks;
   * infeasible: a Farkas vector y with y . A_j <= 0 for every column
-    and y . d > 0, read off the final multipliers; for the bitmask
-    columns y . delta(mask) is summed over the split_pairs of each
-    mask.
+    and y . d > 0, read off the final multipliers; for the cut cone
+    every y . delta(mask) is read off one cut_traces table, for the
+    pair cuts it is summed over the split_pairs of each mask.
 
 Determinism: identical inputs take identical pivot sequences and
 return identical certificates.
@@ -65,7 +65,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, cut_masks
+from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, cut_masks, cut_traces
 from cutcones.metric import Metric, integer_entries, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
@@ -261,12 +261,21 @@ def _check_cut_witness(d: Metric, masks: Sequence[int], w: Sequence[Fraction]) -
 def _check_cut_farkas(d: Metric, masks: Sequence[int], y: Sequence[Fraction]) -> None:
     """y . delta(mask) <= 0 on every mask and y . d > 0.
 
-    y is cleared of denominators first, which keeps every sign.
+    y is cleared of denominators first, which keeps every sign.  With
+    one mask per complement class or more (the cut cone), every
+    y . delta(mask) is read off one cut_traces table; fewer masks (the
+    pair cuts) are summed one by one over split_pairs.
     """
+    n = d.n
     weighted = integer_entries(y)[1]
-    for mask in masks:
-        if sum(weighted[p] for p in split_pairs(d.n, mask)) > 0:
-            raise RuntimeError("Farkas vector is positive on a cut metric")
+    if len(masks) >= (1 << (n - 1)) - 1:
+        traces = cut_traces(n, weighted)
+        full = (1 << n) - 1
+        values = (traces[min(mask, full ^ mask)] for mask in masks)
+    else:
+        values = (sum(weighted[p] for p in split_pairs(n, mask)) for mask in masks)
+    if any(x > 0 for x in values):
+        raise RuntimeError("Farkas vector is positive on a cut metric")
     if sum(yi * x for yi, x in zip(y, d.d)) <= 0:
         raise RuntimeError("Farkas vector is nonpositive on the target")
 

@@ -10,6 +10,7 @@ from cutcones.cut_algebra import (
     RationalMatrix,
     combine_cuts,
     cut_metric_vector,
+    cut_traces,
     enumerate_cuts,
     full_cut_matrix,
     incidence_matrix,
@@ -19,7 +20,8 @@ from cutcones.cut_algebra import (
     projectors,
     square_cut_matrix,
 )
-from cutcones.metric import num_pairs, vertex_pairs
+from cutcones import cut_algebra
+from cutcones.metric import num_pairs, split_pairs, vertex_pairs
 
 F = Fraction
 
@@ -142,6 +144,92 @@ def test_combine_cuts_is_the_sum_of_cut_metric_vectors(n):
     assert combine_cuts(n, terms) == tuple(expected)
     assert combine_cuts(n, []) == (F(0),) * num_pairs(n)
     assert combine_cuts(n, [(1, 2), (1, -2)]) == (F(0),) * num_pairs(n)
+
+
+def split_pairs_sum(n, terms) -> tuple[Fraction, ...]:
+    """Reference: w added pair by pair over split_pairs(n, mask)."""
+    total = [F(0)] * num_pairs(n)
+    for mask, w in terms:
+        for p in split_pairs(n, mask):
+            total[p] += w
+    return tuple(total)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cut_traces_match_split_pairs(n):
+    rng = random.Random(n)
+    values = [rng.randint(-50, 50) for _ in range(num_pairs(n))]
+    traces = cut_traces(n, values)
+    full = (1 << n) - 1
+    assert len(traces) == 1 << (n - 1)
+    for mask in range(full + 1):
+        expected = sum(values[p] for p in split_pairs(n, mask))
+        assert traces[min(mask, full ^ mask)] == expected
+
+
+def test_cut_traces_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        cut_traces(4, [1] * 5)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_combine_cuts_table_path_matches_split_pairs(n, monkeypatch):
+    rng = random.Random(100 + n)
+    # every mask, trivial ones included, signed non-integer weights and
+    # a few zeros (which neither count toward the size rule nor add)
+    terms = [
+        (mask, F(rng.randint(-9, 9), rng.randint(1, 6)) if mask % 5 else F(0))
+        for mask in range(1 << n)
+    ]
+    expected = split_pairs_sum(n, terms)
+    rng.shuffle(terms)
+    monkeypatch.setattr(cut_algebra, "split_pairs", None)  # the table path only
+    assert combine_cuts(n, terms) == expected
+    every_mask_once = [(mask, 1) for mask in range(1 << n)]
+    assert combine_cuts(n, every_mask_once) == (F(2 ** (n - 1)),) * num_pairs(n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_combine_cuts_size_rule_boundary(n, monkeypatch):
+    """2^(n-1) - 1 nonzero terms take the table, one fewer the loop;
+    both give the split_pairs sum."""
+    rng = random.Random(n)
+    masks = rng.sample(range(1 << n), (1 << (n - 1)) - 1)
+    terms = [(mask, F(rng.randint(1, 9), rng.randint(1, 4))) for mask in masks]
+    terms.append((masks[0], F(0)))
+    expected = split_pairs_sum(n, terms)
+    fewer = terms[1:]
+    fewer_expected = split_pairs_sum(n, fewer)
+    calls = []
+
+    def counting(n, mask):
+        calls.append(mask)
+        return split_pairs(n, mask)
+
+    monkeypatch.setattr(cut_algebra, "split_pairs", counting)
+    assert combine_cuts(n, terms) == expected
+    assert calls == []
+    assert combine_cuts(n, fewer) == fewer_expected
+    assert len(calls) == len(fewer) - 1
+
+
+def test_combine_cuts_few_masks_at_n18():
+    n = 18
+    rng = random.Random(18)
+    terms = [
+        (rng.randrange(1 << n), F(rng.randint(-9, 9), rng.randint(1, 6))) for _ in range(6)
+    ]
+    terms += [(0, F(3)), ((1 << n) - 1, F(-2)), (5, F(0))]
+    assert combine_cuts(n, terms) == split_pairs_sum(n, terms)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_combine_cuts_rejects_out_of_range_masks_on_both_paths(n):
+    for bad in (-1, 1 << n, 1 << (n + 1)):
+        with pytest.raises(ValueError):
+            combine_cuts(n, [(mask, 1) for mask in range(1, 1 << n)] + [(bad, 1)])
+        with pytest.raises(ValueError):
+            combine_cuts(n, [(1, 1), (bad, 1)])
 
 
 # ---------------------------------------------------------------------------

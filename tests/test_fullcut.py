@@ -1,6 +1,7 @@
 """Sufficient condition, cut certificates, and the kernel basis."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,6 @@ from cutcones.cut_algebra import (
     enumerate_cuts,
     matrix_rank,
 )
-from cutcones import fullcut
 from cutcones.fullcut import (
     CutCertificate,
     _cut_rank,
@@ -286,17 +286,42 @@ def test_kernel_vector_entries_are_index_sorted():
         assert indices == sorted(set(indices))
 
 
-def test_sufficient_traces_each_complement_class_once(monkeypatch):
-    traced = []
+@pytest.mark.parametrize("n", range(3, 10))
+def test_sufficient_slacks_come_from_the_trace_table(n, monkeypatch):
+    """Slacks and candidate weights equal the per-cut split_pairs
+    reference, while split_pairs itself is never called."""
+    rng = random.Random(n)
+    m = num_pairs(n)
+    metrics = [
+        metric_of_ints(n, [rng.randint(0, 9) for _ in range(m)]),
+        Metric(n, tuple(F(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(m))),
+    ]
+    expected = []
+    for d in metrics:
+        trace = sum(d.d)
+        slack = {
+            cut.members: sum((d.d[p] for p in split_pairs(n, cut.members)), F(0))
+            - trace * cut.size * (n - cut.size) / (m + 1)
+            for cut in enumerate_cuts(n)
+        }
+        expected.append(slack)
 
-    def counting(n, mask):
-        traced.append(mask)
-        return split_pairs(n, mask)
+    def forbidden(*_):
+        raise AssertionError("split_pairs called")
 
-    monkeypatch.setattr(fullcut, "split_pairs", counting)
-    d = metric_of_ints(6, [1] * 15)
-    assert sufficient_condition(d).status == "member"
-    assert len(traced) == len(set(traced)) == 2 ** 5 - 1
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cutcones") and hasattr(module, "split_pairs"):
+            monkeypatch.setattr(module, "split_pairs", forbidden)
+    for d, slack in zip(metrics, expected):
+        verdict = sufficient_condition(d)
+        assert [c.members for c, _ in verdict.slacks] == [
+            c.members for c in enumerate_cuts(n) if c.members & 1
+        ]
+        assert all(s == slack[c.members] for c, s in verdict.slacks)
+        scale = F(1, 2 ** (n - 2))
+        assert candidate_solution(d) == tuple(
+            scale * slack[c.members] for c in enumerate_cuts(n)
+        )
 
 
 def test_kernel_basis_dimension_formula():

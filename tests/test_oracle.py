@@ -19,7 +19,7 @@ from cutcones.cut_algebra import (
     square_cut_matrix,
 )
 from cutcones.fullcut import certificate_from_weights, verify_cut_certificate
-from cutcones.metric import Metric, validate_metric, vertex_pairs
+from cutcones.metric import Metric, split_pairs, validate_metric, vertex_pairs
 from cutcones.oracle import (
     FeasibilityResult,
     cutcone_membership,
@@ -296,6 +296,39 @@ def test_cut_farkas_recheck_rejects_the_smallest_positive_value():
         oracle._check_cut_farkas(
             Metric(3, (F(1),) * 3), all_cut_masks(3), [F(1, 7), F(0), F(0)]
         )
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_cut_cone_farkas_recheck_reads_the_trace_table(n, monkeypatch):
+    """Over one mask per complement class, the re-check raises exactly
+    when some cut has y . delta(cut) > 0, without calling split_pairs.
+
+    y is a hypermetric functional b_i b_j (sum of b is 1), nonpositive
+    on every cut and zero on some, plus a small bump on a few pairs that
+    may or may not make a cut positive.
+    """
+    rng = random.Random(n)
+    masks = all_cut_masks(n)[: 2 ** (n - 1) - 1]
+    outcomes = set()
+    for _ in range(12):
+        b = [1] * ((n + 1) // 2) + [-1] * ((n - 1) // 2) + [0] * (1 - n % 2)
+        rng.shuffle(b)
+        y = [F(b[i - 1] * b[j - 1]) for i, j in vertex_pairs(n)]
+        for p in rng.sample(range(len(y)), 3):
+            y[p] += F(rng.choice((-1, 1)), 4 * len(y))
+        d = Metric(n, tuple(F(x > 0) for x in y))
+        positive = any(
+            sum((y[p] for p in split_pairs(n, mask)), F(0)) > 0 for mask in masks
+        )
+        outcomes.add(positive)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "split_pairs", None)
+            if positive:
+                with pytest.raises(RuntimeError):
+                    oracle._check_cut_farkas(d, masks, y)
+            else:
+                oracle._check_cut_farkas(d, masks, y)
+    assert outcomes == {True, False}
 
 
 def test_pair_cut_certificate_rechecks_reject_bad_certificates(figure_eight_d0):
