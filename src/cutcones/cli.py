@@ -67,7 +67,7 @@ def _emit_verdict(args: argparse.Namespace, doc: dict[str, Any], lines: Iterable
     """Print doc as JSON or lines as text; lines is read in text mode
     only, so it may be a generator that formats nothing under json."""
     if _fmt(args) == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(cio.dumps_json(doc))
     else:
         sys.stdout.write("\n".join(lines) + "\n")
 
@@ -135,9 +135,7 @@ def _farkas_verdict(
     return its two text lines."""
     doc["farkas"] = tokens = [_q(x) for x in farkas]
     if args.emit_farkas:
-        Path(args.emit_farkas).write_text(
-            json.dumps({"n": n, "farkas": tokens}, indent=2) + "\n"
-        )
+        Path(args.emit_farkas).write_text(cio.dumps_json({"n": n, "farkas": tokens}))
     return [f"NOT a member of the {cone}", "farkas: " + " ".join(tokens)]
 
 
@@ -193,6 +191,21 @@ def _member_lines(head: str, cert: fullcut.CutCertificate) -> Iterator[str]:
         yield f"  cut {{{','.join(map(str, c.member_list))}}} weight {_q(w)}"
 
 
+def _certificate_verdict(
+    args: argparse.Namespace, cert: fullcut.CutCertificate, head: str, doc: dict[str, Any]
+) -> Iterator[str]:
+    """Report a member's certificate in doc (JSON mode only) and
+    --emit-certificate, converting it once, and return its text lines."""
+    json_mode = _fmt(args) == "json"
+    if json_mode or args.emit_certificate:
+        cert_doc = cio.certificate_to_json(cert)
+        if json_mode:
+            doc["certificate"] = cert_doc
+        if args.emit_certificate:
+            Path(args.emit_certificate).write_text(cio.dumps_json(cert_doc))
+    return _member_lines(head, cert)
+
+
 def _inconclusive_lines(failing: tuple[cut_algebra.Cut, ...]) -> Iterator[str]:
     yield "inconclusive: candidate decomposition has negative weights"
     for c in failing:
@@ -212,13 +225,10 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
             "failing_cuts": [list(c.member_list) for c in verdict.failing],
         }
         if member:
-            cert = verdict.certificate
-            doc["certificate"] = cio.certificate_to_json(cert)
-            lines = _member_lines(
-                "member of the cut cone (candidate decomposition is nonnegative)", cert
+            lines = _certificate_verdict(
+                args, verdict.certificate,
+                "member of the cut cone (candidate decomposition is nonnegative)", doc,
             )
-            if args.emit_certificate:
-                cio.write_certificate(cert, args.emit_certificate)
         else:
             lines = _inconclusive_lines(verdict.failing)
         _emit_verdict(args, doc, lines)
@@ -233,10 +243,7 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
     if result.feasible:
         # the oracle has applied the --max-n cap to this very n
         cert = fullcut.certificate_from_weights(d.n, result.witness, max_n=d.n)
-        doc["certificate"] = cio.certificate_to_json(cert)
-        lines = _member_lines("member of the cut cone", cert)
-        if args.emit_certificate:
-            cio.write_certificate(cert, args.emit_certificate)
+        lines = _certificate_verdict(args, cert, "member of the cut cone", doc)
     else:
         lines = _farkas_verdict(args, d.n, result.farkas, "cut cone", doc)
     _emit_verdict(args, doc, lines)
@@ -349,7 +356,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
                 for v in basis.vectors
             ],
         }
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = cio.dumps_json(doc)
     else:
         lines = [
             f"kernel basis for n={basis.n}: {basis.dimension} vectors"
@@ -422,7 +429,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             "cols": matrix.cols,
             "entries": [[_q(x) for x in row] for row in matrix.entries],
         }
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = cio.dumps_json(doc)
     else:
         payload = cio.matrix_to_text(matrix)
     _print_payload(payload, args.output)

@@ -20,14 +20,19 @@ Formats:
                                  {"mask": 5, "weight": 2}, ...]}
   points       {"norm": "l1", "points": [["0", "1/2"], ...]}
 
-Matrices dump to plain text, one row per line, entries as
-space-separated rational tokens.
+Every JSON document, in a file or on stdout, is written by dumps_json:
+byte for byte the layout of the stdlib's json.dumps with a two-space
+indent, one value per line.  Matrices dump to plain text, one row per
+line, entries as space-separated rational tokens.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import or_
 from pathlib import Path
 from typing import Any
 
@@ -64,7 +69,20 @@ def parse_rational(value: Any) -> Fraction:
     Strings may be "p/q", an integer literal, or a decimal literal;
     all are parsed exactly, within the token size limits.  Floats are
     rejected: they have already lost the value.
+
+    An exact int, and an ASCII "p/q" or "p" string (p an optional "-"
+    and digits, q digits and nonzero) of at most MAX_TOKEN_DIGITS
+    characters, are built with int(), to the value Fraction(str) gives;
+    every other string goes through Fraction(str).
     """
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str and len(value) <= MAX_TOKEN_DIGITS and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            q = int(den) if slash else 1
+            if q:
+                return Fraction(int(num), q)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -103,6 +121,62 @@ def loads_json(text: str) -> Any:
     )
 
 
+# Items of these exact types are encoded by the C encoder in one call.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _layout(depth: int) -> tuple[Any, str, str, str]:
+    """For a container at nesting depth `depth`: the C encoder of it when
+    its items are all scalars (the item separator carries the items'
+    indent), the item separator, and the whitespace after its opening
+    and before its closing bracket."""
+    indent = "\n" + "  " * (depth + 1)
+    flat = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", "," + indent, False, False, True,
+    )
+    return flat, "," + indent, indent, "\n" + "  " * depth
+
+
+def _encode(x: Any, depth: int) -> str:
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        flat, sep, head, tail = _layout(depth)
+        if _SCALAR_TYPES.issuperset(map(type, x.values())):
+            return "{" + head + "".join(flat(x, depth))[1:-1] + tail + "}"
+        body = sep.join([
+            encode_basestring_ascii(k) + ": " + _encode(v, depth + 1) for k, v in x.items()
+        ])
+        return "{" + head + body + tail + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        flat, sep, head, tail = _layout(depth)
+        if _SCALAR_TYPES.issuperset(map(type, x)):
+            return "[" + head + "".join(flat(x, depth))[1:-1] + tail + "]"
+        return "[" + head + sep.join([_encode(v, depth + 1) for v in x]) + tail + "]"
+    return json.dumps(x)
+
+
+def dumps_json(doc: Any) -> str:
+    """json.dumps(doc, indent=2) + "\n", byte for byte, at C speed.
+
+    Each container whose items are all scalars is encoded in one call of
+    the stdlib C encoder; Python recursion runs only over containers that
+    hold containers.  Dict keys must be strings.  Without the C
+    accelerator this is json.dumps itself.
+    """
+    if c_make_encoder is None:
+        return json.dumps(doc, indent=2) + "\n"
+    return _encode(doc, 0) + "\n"
+
+
 def _as_int(v: Any, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{what} must be an integer, got {v!r}")
@@ -132,11 +206,11 @@ def metric_from_json(obj: Any) -> Metric:
         raise ValueError(
             f"metric on {n} vertices needs {num_pairs(n)} entries, got {len(entries)}"
         )
-    return Metric(n, tuple(parse_rational(x) for x in entries))
+    return Metric(n, tuple(map(parse_rational, entries)))
 
 
 def dumps_metric(d: Metric) -> str:
-    return json.dumps(metric_to_json(d), indent=2) + "\n"
+    return dumps_json(metric_to_json(d))
 
 
 def loads_metric(text: str) -> Metric:
@@ -197,7 +271,7 @@ def graph_from_json(obj: Any) -> SimpleGraph:
 
 
 def dumps_graph(g: SimpleGraph) -> str:
-    return json.dumps(graph_to_json(g), indent=2) + "\n"
+    return dumps_json(graph_to_json(g))
 
 
 def loads_graph(text: str) -> SimpleGraph:
@@ -216,14 +290,55 @@ def write_graph(g: SimpleGraph, path: str | Path) -> None:
 # cut certificates
 
 
+class _Members(dict):
+    """Bits b -> the vertices offset + k with bit k - 1 of b set, in
+    ascending order, filled on first use: a certificate pays only for
+    the bit patterns it holds, whatever its n."""
+
+    def __init__(self, offset: int) -> None:
+        super().__init__()
+        self.offset = offset
+
+    def __missing__(self, bits: int) -> list[int]:
+        members = self[bits] = [
+            self.offset + k for k in range(1, bits.bit_length() + 1) if bits >> (k - 1) & 1
+        ]
+        return members
+
+
+class _VertexBits(dict):
+    """Vertex v in 1..n -> its bit 1 << (v - 1), filled on first use, so
+    a document pays only for the vertices it names, whatever its n."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, v: int) -> int:
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        bit = self[v] = 1 << (v - 1)
+        return bit
+
+
 def certificate_to_json(cert: CutCertificate) -> dict[str, Any]:
+    # a cut's members are those of its low half bits then of its high
+    # half; the sum is a new list, so the document shares no table entry
+    half = cert.n // 2
+    low, high, low_bits = _Members(0).__getitem__, _Members(half).__getitem__, (1 << half) - 1
     return {
         "n": cert.n,
         "cuts": [
-            {"members": list(c.member_list), "weight": rational_to_json(w)}
+            {
+                "members": low(c.members & low_bits) + high(c.members >> half),
+                "weight": rational_to_json(w),
+            }
             for c, w in zip(cert.cuts, cert.weights)
         ],
     }
+
+
+_INT_TYPE = frozenset({int})
 
 
 def certificate_from_json(obj: Any) -> CutCertificate:
@@ -233,6 +348,7 @@ def certificate_from_json(obj: Any) -> CutCertificate:
     items = obj.get("cuts")
     if not isinstance(items, list):
         raise ValueError("field 'cuts' must be a list")
+    bit = _VertexBits(n).__getitem__
     cuts = []
     weights = []
     for item in items:
@@ -240,9 +356,10 @@ def certificate_from_json(obj: Any) -> CutCertificate:
             raise ValueError(f"certificate entries must be objects, got {item!r}")
         if "members" in item:
             members = item["members"]
-            if not isinstance(members, list):
-                raise ValueError(f"'members' must be a vertex list, got {members!r}")
-            cut = Cut.from_members(n, members)
+            # exact ints only: True and 1.0 would pass a lookup as vertex 1
+            if not (isinstance(members, list) and _INT_TYPE.issuperset(map(type, members))):
+                raise ValueError(f"'members' must be a list of integer vertices, got {members!r}")
+            cut = Cut(n, functools.reduce(or_, map(bit, members), 0))
         elif "mask" in item:
             cut = Cut(n, _require_int(item, "mask"))
         else:
@@ -255,7 +372,7 @@ def certificate_from_json(obj: Any) -> CutCertificate:
 
 
 def dumps_certificate(cert: CutCertificate) -> str:
-    return json.dumps(certificate_to_json(cert), indent=2) + "\n"
+    return dumps_json(certificate_to_json(cert))
 
 
 def loads_certificate(text: str) -> CutCertificate:
@@ -299,7 +416,7 @@ def points_from_json(obj: Any) -> PointSet:
 
 
 def dumps_points(points: PointSet) -> str:
-    return json.dumps(points_to_json(points), indent=2) + "\n"
+    return dumps_json(points_to_json(points))
 
 
 def loads_points(text: str) -> PointSet:

@@ -266,6 +266,31 @@ def test_cutcone_exact_member_never_enumerates_cut_objects(cli, write, monkeypat
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["sufficient", "exact"])
+def test_cutcone_converts_the_certificate_once_and_only_when_printed(
+    cli, write, tmp_path, monkeypatch, mode
+):
+    calls = []
+    convert = cio.certificate_to_json
+
+    def counted(cert):
+        calls.append(cert)
+        return convert(cert)
+
+    monkeypatch.setattr(cio, "certificate_to_json", counted)
+    path = write(graph_metric(family("K", 5)))
+    assert cli("cutcone", mode, "--metric", path)[0] == 0
+    assert calls == []
+    emitted = tmp_path / "cert.json"
+    code, out, _ = cli(
+        "cutcone", mode, "--format", "json", "--metric", path, "--emit-certificate", str(emitted)
+    )
+    assert code == 0 and len(calls) == 1
+    assert emitted.read_text() == json.dumps(json.loads(out)["certificate"], indent=2) + "\n"
+    code, out, _ = cli("cutcone", mode, "--metric", path, "--emit-certificate", str(emitted))
+    assert code == 0 and len(calls) == 2 and out.startswith("member of the cut cone")
+
+
 def test_cutcone_exact_non_member_farkas(cli, write, tmp_path):
     d = truncated_metric(family("B", 2, 3))
     fk = tmp_path / "farkas.json"
@@ -352,6 +377,14 @@ def test_verify_cert_reports_negative_weights(cli, write):
     doc = json.loads(out)
     assert doc["valid"] is False
     assert doc["negative_weights"] == [{"members": [1], "weight": "-1/2"}]
+
+
+@pytest.mark.parametrize("members", ['["1"]', "[1.5]", "[true]"], ids=["string", "decimal", "bool"])
+def test_verify_cert_rejects_non_integer_members(cli, write, members):
+    cert = write('{"n": 3, "cuts": [{"members": %s, "weight": 1}]}' % members)
+    code, out, err = cli("verify-cert", "--cert", cert, "--metric", write(Metric(3, (F(1), F(1), F(0)))))
+    assert code == 3
+    assert out == "" and "integer vertices" in err
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +681,70 @@ def test_format_flag_accepted_before_and_after_subcommand(cli, write):
     _, after, _ = cli("stats", "--format", "json", "--metric", path)
     _, before, _ = cli("--format", "json", "stats", "--metric", path)
     assert json.loads(after) == json.loads(before)
+
+
+# ---------------------------------------------------------------------------
+# every JSON document, on stdout or in a file, has the indent=2 layout
+
+
+LAYOUT_COMMANDS = {
+    "cutcone-exact-member": (
+        "cutcone", "exact", "--format", "json", "--metric", "{member}",
+        "--emit-certificate", "{out}",
+    ),
+    "cutcone-exact-non-member": (
+        "cutcone", "exact", "--format", "json", "--metric", "{non_member}",
+        "--emit-farkas", "{out}",
+    ),
+    "cutcone-sufficient-member": (
+        "cutcone", "sufficient", "--format", "json", "--metric", "{complete}",
+        "--emit-certificate", "{out}",
+    ),
+    "cutcone-sufficient-inconclusive": (
+        "cutcone", "sufficient", "--format", "json", "--metric", "{non_member}",
+    ),
+    "verify-cert": ("verify-cert", "--format", "json", "--cert", "{cert}", "--metric", "{member}"),
+    "paircut": ("paircut", "--format", "json", "--metric", "{non_member}"),
+    "paircut-exact": (
+        "paircut", "exact", "--format", "json", "--metric", "{non_member}",
+        "--emit-farkas", "{out}",
+    ),
+    "kernel-basis": ("kernel", "basis", "--n", "5", "--format", "json"),
+    "matrix-dump": ("matrix", "dump", "proj-mid", "--n", "5", "--format", "json"),
+    "embed-l1": ("embed", "l1", "--cert", "{cert}", "--metric", "{member}"),
+    "embed-linf-sig": ("embed", "linf-sig", "--graph", "{graph}"),
+    "sig-build": ("sig", "build", "--metric", "{member}"),
+    "sig-verify": ("sig", "verify", "--format", "json", "--metric", "{member}", "--graph", "{graph}"),
+    "sig-star-obstruction": (
+        "sig", "star-obstruction", "--format", "json", "--n", "4", "--a", "1", "2", "1/2", "3",
+    ),
+    "family-gen-graph": ("family", "gen", "C", "5"),
+    "family-gen-metric": ("family", "gen", "C", "5", "--metric", "d1"),
+    "validate": ("validate", "--format", "json", "--metric", "{non_member}"),
+    "stats": ("stats", "--format", "json", "--metric", "{member}"),
+}
+
+
+def assert_indent2_layout(text):
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_COMMANDS))
+def test_every_json_document_has_the_indent2_layout(cli, write, tmp_path, name):
+    paths = {
+        "member": write(truncated_metric(path_graph(5))),
+        "cert": write(path_certificate()),
+        "non_member": write(truncated_metric(family("B", 2, 3))),
+        "complete": write(graph_metric(family("K", 5))),
+        "graph": write(family("C", 5)),
+        "out": str(tmp_path / "emitted.json"),
+    }
+    argv = [arg.format(**paths) for arg in LAYOUT_COMMANDS[name]]
+    code, out, err = cli(*argv)
+    assert code in (0, 1, 2), err
+    assert_indent2_layout(out)
+    if "{out}" in LAYOUT_COMMANDS[name]:
+        assert_indent2_layout((tmp_path / "emitted.json").read_text())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from cutcones import io as cio
 from cutcones.cut_algebra import Cut, square_cut_matrix
 from cutcones.embeddings import linf_sig_embedding
 from cutcones.fullcut import CutCertificate
@@ -12,8 +14,10 @@ from cutcones.io import (
     MAX_DECIMAL_EXPONENT,
     MAX_TOKEN_DIGITS,
     certificate_from_json,
+    certificate_to_json,
     dumps_certificate,
     dumps_graph,
+    dumps_json,
     dumps_metric,
     dumps_points,
     format_rational,
@@ -75,6 +79,59 @@ def test_parse_rational_token_size_limits():
     ):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def _parse_by_fraction_str(value):
+    """Reference parser: every string token through Fraction(str)."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    cio._check_token_size(value)
+    try:
+        return Fraction(value.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {value!r}") from exc
+
+
+def _outcome(parse, value):
+    try:
+        return parse(value)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "\u00b2/3", "\u0663/4", "+1/2", " 1/2", "1/2 ", "1 / 2", "1_0/3", "-0/5", "01/2",
+        "1/0", "1/00", "1/-2", "-1/2", "--1/2", "-", "/", "1/", "/2", "1//2", "7", "-7",
+        "1.5", "1e3", True, False, 0, -5, 10**30,
+        "9" * MAX_TOKEN_DIGITS, "9" * (MAX_TOKEN_DIGITS + 1),
+        "-" + "9" * (MAX_TOKEN_DIGITS - 1), "1/" + "3" * (MAX_TOKEN_DIGITS - 2),
+    ],
+)
+def test_parse_rational_matches_the_fraction_str_path(token):
+    # "\u00b2" (superscript two) passes str.isdigit() but is no decimal
+    # digit: Fraction(str) rejects it, while "\u0663" (Arabic-Indic three)
+    # is a decimal digit and parses as 3
+    assert _outcome(parse_rational, token) == _outcome(_parse_by_fraction_str, token)
+
+
+def test_parse_rational_non_ascii_digits():
+    assert parse_rational("\u0663/4") == F(3, 4)
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational("\u00b2/3")
+
+
+def test_int_and_ascii_tokens_never_reach_fraction_of_str(monkeypatch):
+    def no_str(numerator=0, denominator=None):
+        assert not isinstance(numerator, str), numerator
+        return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(cio, "Fraction", no_str)
+    for token, value in ((5, 5), (-3, -3), ("3/4", F(3, 4)), ("-6/4", F(-3, 2)), ("12", 12)):
+        assert parse_rational(token) == value
 
 
 def test_json_numbers_obey_the_token_size_limits():
@@ -236,6 +293,31 @@ def test_certificate_mask_and_members_forms_agree():
     assert by_members == by_mask
 
 
+@pytest.mark.parametrize(
+    "members", ['["1"]', "[1.5]", "[true]", "[1.0]", "[null]", '[[1]]'],
+)
+def test_certificate_members_must_be_integers(members):
+    text = '{"n": 4, "cuts": [{"members": %s, "weight": 1}]}' % members
+    with pytest.raises(ValueError, match="integer vertices"):
+        loads_certificate(text)
+
+
+def test_certificate_duplicate_members_are_one_vertex():
+    twice = loads_certificate('{"n": 4, "cuts": [{"members": [3, 1, 3], "weight": 1}]}')
+    assert twice.cuts == (Cut.from_members(4, (1, 3)),)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8])
+def test_certificate_to_json_lists_every_cut_member(n):
+    cuts = tuple(Cut(n, mask) for mask in range(1 << n))
+    cert = CutCertificate(n=n, cuts=cuts, weights=(F(1),) * len(cuts))
+    doc = certificate_to_json(cert)
+    assert [c["members"] for c in doc["cuts"]] == [list(c.member_list) for c in cuts]
+    # every members list is the document's own
+    doc["cuts"][0]["members"].append(99)
+    assert certificate_to_json(cert)["cuts"][0]["members"] == list(cuts[0].member_list)
+
+
 def test_certificate_document_errors():
     with pytest.raises(ValueError):
         certificate_from_json({"n": 4, "cuts": [{"members": [1, 3]}]})
@@ -296,3 +378,65 @@ def test_matrix_text_skips_blank_lines():
 def test_matrix_text_rejects_ragged_rows():
     with pytest.raises(ValueError):
         matrix_from_text("1 2\n3\n")
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def _indent2(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_strings = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u2603\U0001f600", "\ud800", ""]),
+)
+_scalars = st.one_of(
+    _strings,
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_strings, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def _check_layout(doc):
+    assert dumps_json(doc) == _indent2(doc)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_documents)
+def test_dumps_json_is_the_indent2_layout(doc):
+    _check_layout(doc)
+
+
+def test_dumps_json_layout_examples():
+    for doc in ([], {}, [[]], {"a": {}}, [1, [2, [3, []]], {"k": ()}], {"x": [1, "2"], "y": None}):
+        _check_layout(doc)
+
+
+def test_a_writer_that_checks_only_the_first_item_fails_the_property(monkeypatch):
+    # mutant: a container counts as flat when its first item is a scalar
+    class FirstItemOnly:
+        def issuperset(self, types):
+            return next(iter(types)) in {str, int, float, bool, type(None)}
+
+    monkeypatch.setattr(cio, "_SCALAR_TYPES", FirstItemOnly())
+    # the property's own strategy and example budget, without shrinking
+    mutant_run = settings(
+        max_examples=150, deadline=None, database=None,
+        phases=[Phase.generate], report_multiple_bugs=False, derandomize=True,
+    )(given(_documents)(_check_layout))
+    with pytest.raises(AssertionError):
+        mutant_run()
