@@ -105,7 +105,7 @@ def verify_cut_certificate(cert: CutCertificate, d: Metric) -> CertificateReport
     if cert.n != d.n:
         raise ValueError(f"certificate for n={cert.n} vs metric on n={d.n}")
     negatives = tuple(
-        (c, w) for c, w in zip(cert.cuts, cert.weights) if w < 0
+        (c, w) for c, w in zip(cert.cuts, cert.weights) if w.numerator < 0
     )
     built = certificate_metric(cert)
     mismatch = None

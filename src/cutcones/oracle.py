@@ -13,18 +13,30 @@ The simplex is revised and fraction-free.  Columns are sparse integer
 vectors that are never updated.  The solver keeps only
 
   * R = denom * B^-1, the m x m basis inverse (the artificial block of
-    the full tableau, up to the signs of its columns);
+    the full tableau, up to the signs of its columns), stored by
+    columns: each column is one Python int with its m entries in
+    signed W-bit slots, entry i in bits [W i, W i + W);
   * the basic values denom * B^-1 b;
   * v = denom * y, the simplex multipliers.
 
 All three are integers over one shared positive denominator, the last
 pivot element (Edmonds/Bareiss pivoting, as in Avis's lrs).  Column
 j's reduced profit is v . A_j, a sparse dot product; only the entering
-column R A_j is formed, each pivot updates R, the basic values and v by
-exact integer divisions, and the ratio test compares quotients by
-cross-multiplication.  The pivots are those a dense Fraction tableau
-[A | I] would take: scaling A and d by positive constants rescales w
-but changes no pivot and no Farkas vector.
+column R A_j is formed, as one sum of packed columns of R.  Each pivot
+updates a packed column c, whose pivot-row entry is p, with one
+big-int expression (c * piv - p * (R A_j)) / denom plus p back in the
+pivot slot: every slot of the numerator is denom times an integer, so
+the division is exact slot by slot and hence for the whole int.  Only
+the entering column and the pivot row are decoded, by adding 2^(W-1)
+to every slot and shifting and masking.  Every entry of R and R A_j is
+a minor of order <= m of [A | I], so Hadamard's inequality fixes W:
+the product of the m largest squared column norms, each floored at 1
+(the norm of an identity column), is below 2^(2W-2).  The basic values
+and v are updated entry by entry, by the same exact divisions, and the
+ratio test compares quotients by cross-multiplication.  The pivots are
+those a dense Fraction tableau [A | I] would take: scaling A and d by
+positive constants rescales w but changes no pivot and no Farkas
+vector.
 
 There are two front ends:
 
@@ -62,6 +74,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import isqrt, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -101,6 +114,21 @@ def _dot(column: Column, get: Callable[[int], int]) -> int:
     return sum(map(mul, vals, map(get, rows)))
 
 
+def _slot_width(columns: Sequence[Column], m: int) -> int:
+    """Bits W of a signed slot that holds every entry of R and R A_j.
+
+    Each such entry is, up to sign, a minor of order <= m of
+    [A | diag(sign)], so by Hadamard's inequality its square is at most
+    the product of the m largest squared column norms of that matrix.
+    The artificial columns have norm 1, so each of the m largest norms
+    of A is floored at 1; without the floor a zero column among them
+    would make the bound 0.
+    """
+    norms = (len(rows) if vals is None else sum(x * x for x in vals) for rows, vals in columns)
+    bound = prod(max(x, 1) for x in sorted(norms, reverse=True)[:m])
+    return (isqrt(bound) + 1).bit_length() + 1
+
+
 def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult:
     """Decide A w = b, w >= 0 for integer A (given by its columns) and b.
 
@@ -110,9 +138,17 @@ def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult
     """
     m, ncols = len(b), len(columns)
     sign = [-1 if x < 0 else 1 for x in b]
+    # Entry i of a packed column sits in bits [W i, W i + W).  Adding
+    # `bias` (half in every slot) makes every slot nonnegative, so a
+    # slot decodes by shift and mask without borrows from below.
+    width = _slot_width(columns, m)
+    shifts = range(0, width * m, width)
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    bias = sum(half << s for s in shifts)
     # The starting basis is the artificial columns, B = diag(sign), so
     # R = B^-1 = B, the basic values are |b| and y = 1^T B^-1 = sign.
-    inv = [[sign[i] if k == i else 0 for k in range(m)] for i in range(m)]
+    inv = [x << s for x, s in zip(sign, shifts)]
     rhs = [abs(x) for x in b]
     v = list(sign)
     basis = list(range(ncols, ncols + m))
@@ -126,7 +162,7 @@ def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult
         for enter, column in enumerate(columns):
             profit = _dot(column, get)
             if profit > 0:
-                entering = [_dot(column, row.__getitem__) for row in inv]
+                packed = _dot(column, inv.__getitem__)
                 break
         else:
             k = next((k for k in range(m) if sign[k] * v[k] > denom), None)
@@ -134,7 +170,9 @@ def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult
                 break
             enter = ncols + k
             profit = sign[k] * v[k] - denom
-            entering = [sign[k] * row[k] for row in inv]
+            packed = sign[k] * inv[k]
+        biased = packed + bias
+        entering = [((biased >> s) & mask) - half for s in shifts]
         # Ratio test rhs_i / a_i over a_i > 0 by cross-multiplication;
         # ties go to the smallest basis variable.
         leave = -1
@@ -151,23 +189,26 @@ def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult
             # The artificial sum is bounded below by 0, so this cannot
             # happen.
             raise RuntimeError("phase-I relaxation unbounded")
-        # Fraction-free pivot: every entry x of another row becomes
+        # Fraction-free pivot: every entry x off the pivot row becomes
         # (x * piv - f * p) / denom, with f that row's entry in the
         # entering column and p the pivot-row entry; the division is
         # exact (the results are minors of the integer tableau).  The
         # pivot row keeps its integers and piv becomes the denominator.
+        # On a packed column c with pivot-row entry p this is one
+        # update: the pivot slot of c * piv - p * packed is
+        # p * piv - p * piv = 0, every other slot is denom times the
+        # new entry, so the whole int divides exactly, and p goes back
+        # into the pivot slot.  A column with p = 0 is only rescaled.
         piv = entering[leave]
-        prow = inv[leave]
+        shift = shifts[leave]
+        prow = [(((c + bias) >> shift) & mask) - half for c in inv]
         pb = rhs[leave]
-        for i, f in enumerate(entering):
-            if i == leave:
-                continue
-            if f:
-                inv[i] = [(x * piv - f * p) // denom for x, p in zip(inv[i], prow)]
-                rhs[i] = (rhs[i] * piv - f * pb) // denom
-            elif piv != denom:
-                inv[i] = [x * piv // denom for x in inv[i]]
-                rhs[i] = rhs[i] * piv // denom
+        inv = [
+            (c * piv - p * packed) // denom + (p << shift) if p else c * piv // denom
+            for c, p in zip(inv, prow)
+        ]
+        rhs = [(x * piv - f * pb) // denom for x, f in zip(rhs, entering)]
+        rhs[leave] = pb
         v = [(x * piv - profit * p) // denom for x, p in zip(v, prow)]
         denom = piv
         basis[leave] = enter
@@ -252,7 +293,7 @@ def _cone_membership(d: Metric, masks: Sequence[int]) -> FeasibilityResult:
 
 def _check_cut_witness(d: Metric, masks: Sequence[int], w: Sequence[Fraction]) -> None:
     """Sum of the w-weighted cut metrics delta(mask) is d."""
-    if any(x < 0 for x in w):
+    if any(x.numerator < 0 for x in w):
         raise RuntimeError("simplex produced a negative witness entry")
     if combine_cuts(d.n, zip(masks, w)) != d.d:
         raise RuntimeError("simplex witness fails M w = d")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cutcones import oracle
 from cutcones.cut_algebra import (
     RationalMatrix,
+    cut_masks,
     cut_metric_vector,
     enumerate_cuts,
     full_cut_matrix,
@@ -19,7 +20,7 @@ from cutcones.cut_algebra import (
     square_cut_matrix,
 )
 from cutcones.fullcut import certificate_from_weights, verify_cut_certificate
-from cutcones.metric import Metric, split_pairs, validate_metric, vertex_pairs
+from cutcones.metric import Metric, integer_entries, split_pairs, validate_metric, vertex_pairs
 from cutcones.oracle import (
     FeasibilityResult,
     cutcone_membership,
@@ -42,6 +43,7 @@ from cutcones.sig import (
 )
 
 from conftest import metric_of_ints
+from reference_simplex import reference_phase_one
 
 F = Fraction
 
@@ -122,6 +124,18 @@ def test_path_metric_is_feasible():
     check_witness(matrix, d.d, result.witness)
 
 
+def test_zero_column_and_fewer_nonzero_columns_than_rows():
+    # a zero column among the m largest column norms must not shrink
+    # the packed solver's slot width
+    matrix = RationalMatrix.from_rows([[F(5), F(0)], [F(7), F(0)]])
+    result = lp_feasibility(matrix, (F(10), F(14)))
+    assert result.feasible
+    assert result.witness == (F(2), F(0))
+    result = lp_feasibility(matrix, (F(10), F(15)))
+    assert not result.feasible
+    check_farkas(matrix, (F(10), F(15)), result.farkas)
+
+
 def test_solver_is_deterministic():
     rng = random.Random(3)
     d = random_semimetric(6, rng)
@@ -129,6 +143,105 @@ def test_solver_is_deterministic():
     first = lp_feasibility(matrix, d.d)
     second = lp_feasibility(matrix, d.d)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the packed-column solver against the row-major reference
+
+
+def integer_columns(rows):
+    """The sparse columns of an integer matrix, as lp_feasibility builds them."""
+    columns = []
+    for col in zip(*rows):
+        nonzero = tuple(i for i, x in enumerate(col) if x)
+        vals = tuple(col[i] for i in nonzero)
+        columns.append((nonzero, None if all(x == 1 for x in vals) else vals))
+    return columns
+
+
+def assert_same_as_reference(columns, b):
+    got = oracle._phase_one(columns, b)
+    want = reference_phase_one(columns, b)
+    assert got == want
+    assert got.pivots == want.pivots
+    return got
+
+
+def test_packed_solver_matches_reference_on_cut_columns():
+    rng = random.Random(41)
+    seen = set()
+    for n in range(3, 10):
+        m = n * (n - 1) // 2
+        masks = cut_masks(n, max_n=n)
+        column_sets = (
+            [(tuple(split_pairs(n, mask)), None) for mask in masks[: len(masks) // 2]],
+            [(tuple(split_pairs(n, 1 << (i - 1) | 1 << (j - 1))), None) for i, j in vertex_pairs(n)],
+        )
+        metrics = [
+            random_semimetric(n, rng),
+            random_l1_points_metric(n, rng),
+            random_paircut_combination(n, rng),
+            # any integer entries, some negative
+            Metric(n, tuple(F(rng.randint(-6, 12)) for _ in range(m))),
+        ]
+        for d in metrics:
+            b = integer_entries(d.d)[1]
+            for columns in column_sets:
+                seen.add(assert_same_as_reference(columns, b).feasible)
+    assert seen == {True, False}
+
+
+def test_packed_solver_matches_reference_on_general_columns():
+    rng = random.Random(43)
+    big = 10**12
+    # entries near 10^12: basis cofactors pass 2^63, so a fixed 64-bit
+    # slot would overflow
+    rows = [[big - rng.randint(0, 999) * rng.choice((-1, 1)) for _ in range(5)] for _ in range(4)]
+    rows[1][2] = -rows[1][2]
+    seen = {assert_same_as_reference(integer_columns(rows), [big, -big + 7, big // 3, 5]).feasible}
+    member = [sum(r[j] * w for j, w in enumerate((3, 0, 1, 2, 0))) for r in rows]
+    assert assert_same_as_reference(integer_columns(rows), member).feasible
+    # zero columns, fewer columns than rows, negative right-hand sides
+    cases = [
+        ([[5, 0], [7, 0]], [10, 14]),
+        ([[5, 0], [7, 0]], [10, 15]),
+        ([[0, 0, 3], [0, 0, -2], [0, 0, 1]], [-6, 4, -2]),
+        ([[2], [-1], [0], [4]], [4, -2, 0, 8]),
+        ([[2], [-1], [0], [4]], [4, -2, 1, 8]),
+        ([[big, 0, -big + 1], [0, 0, 0], [big - 3, 0, big]], [-1, 0, 2]),
+    ]
+    for rows, b in cases:
+        seen.add(assert_same_as_reference(integer_columns(rows), b).feasible)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        ncols = rng.randint(0, 8)
+        scale = rng.choice((3, big))
+        rows = [
+            [rng.randint(-scale, scale) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(m)
+        ]
+        b = [rng.randint(-scale, scale) for _ in range(m)]
+        seen.add(assert_same_as_reference(integer_columns(rows), b).feasible)
+    assert seen == {True, False}
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**12), max_value=10**12),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    shape=st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=6)),
+    data=st.data(),
+)
+def test_packed_solver_matches_reference_property(shape, data):
+    m, ncols = shape
+    rows = data.draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), min_size=m, max_size=m))
+    b = data.draw(st.lists(_entries, min_size=m, max_size=m))
+    assert_same_as_reference(integer_columns(rows), b)
 
 
 # ---------------------------------------------------------------------------
