@@ -133,10 +133,16 @@ def _farkas_verdict(
 ) -> list[str]:
     """Report a non-member's Farkas vector in doc and --emit-farkas, and
     return its two text lines."""
-    doc["farkas"] = tokens = [_q(x) for x in farkas]
+    doc["farkas"] = tokens = _emit_farkas(args, n, farkas)
+    return [f"NOT a member of the {cone}", "farkas: " + " ".join(tokens)]
+
+
+def _emit_farkas(args: argparse.Namespace, n: int, farkas: Iterable[cm.RationalLike]) -> list[str]:
+    """Write farkas to the --emit-farkas file, if given; return its tokens."""
+    tokens = [_q(x) for x in farkas]
     if args.emit_farkas:
         Path(args.emit_farkas).write_text(cio.dumps_json({"n": n, "farkas": tokens}))
-    return [f"NOT a member of the {cone}", "farkas: " + " ".join(tokens)]
+    return tokens
 
 
 def _cmd_paircut(args: argparse.Namespace) -> int:
@@ -179,6 +185,8 @@ def _cmd_paircut(args: argparse.Namespace) -> int:
     ]
     for (i, j), s in verdict.violations:
         lines.append(f"  pair ({i},{j}) violated, slack {_q(s)}")
+    if verdict.violations and args.emit_farkas:
+        _emit_farkas(args, d.n, oracle.paircut_farkas(d, verdict.violations[0][0]))
     if verdict.member:
         lines.append("weights: " + " ".join(_q(x) for x in verdict.weights))
     _emit_verdict(args, doc, lines)

@@ -38,32 +38,31 @@ those a dense Fraction tableau [A | I] would take: scaling A and d by
 positive constants rescales w but changes no pivot and no Farkas
 vector.
 
-There are two front ends:
-
-  * lp_feasibility serves a general RationalMatrix, scaled to integers;
-  * _cone_membership builds each 0/1 column delta(mask) from a vertex
-    bitmask with split_pairs.  paircut_membership_exact passes the
-    pair cuts {i, j} in vertex_pairs order; cutcone_membership passes
-    one cut per complement pair (both give the same column), the first
-    in enumerate_cuts order, i.e. the first 2^(n-1) - 1 cuts.  A
-    dropped column has at every step the reduced profit of its kept
-    twin, which has a smaller index, so Bland's rule would never let
-    it enter (and it is never basic): the pivots and certificates are
-    those over all 2^n - 2 columns, and the dropped cuts get witness
-    weight 0.
+One front end, `_solve`, takes integer sparse columns A = s M (s > 0)
+and the unscaled d, clears d of denominators, runs `_phase_one`, and
+rescales and re-checks the certificate.  lp_feasibility scales a
+general RationalMatrix.  The cone verdicts build each 0/1 column
+delta(mask) from a vertex bitmask with split_pairs (s = 1):
+paircut_membership_exact passes the pair cuts {i, j} in vertex_pairs
+order, and cutcone_membership one cut per complement pair (both give
+the same column), the first in enumerate_cuts order, i.e. the first
+2^(n-1) - 1 cuts.  A dropped column has at every step the reduced
+profit of its kept twin, which has a smaller index, so Bland's rule
+would never let it enter (and it is never basic): the pivots and
+certificates are those over all 2^n - 2 columns, and the dropped cuts
+get witness weight 0.
 
 Bland's rule guarantees termination, and exact arithmetic makes the
-verdict a proof once the certificate, converted to Fractions, has been
-re-checked against the unscaled generators.  Each front end does that
-before it returns, and a failed re-check raises RuntimeError:
+verdict a proof once the certificate has been re-checked against the
+unscaled d.  Both re-checks run in integers over the same sparse
+columns, and a failed one raises RuntimeError:
 
-  * feasible: a nonnegative witness w with A w = d, checked by
-    substitution; for the bitmask columns, combine_cuts sums w over
-    the same masks;
-  * infeasible: a Farkas vector y with y . A_j <= 0 for every column
-    and y . d > 0, read off the final multipliers; for the cut cone
-    every y . delta(mask) is read off one cut_traces table, for the
-    pair cuts it is summed over the split_pairs of each mask.
+  * feasible: a nonnegative witness w with M w = d, i.e.
+    s_b sum_j w'_j A_j = s q b for w = w' / q and d = b / s_b;
+  * infeasible: a Farkas vector y, read off the final multipliers,
+    with y . A_j <= 0 for every column and y . d > 0 (y cleared of
+    denominators, which keeps every sign).  paircut_farkas builds one
+    from the pair-cut closed form and re-checks it the same way.
 
 Determinism: identical inputs take identical pivot sequences and
 return identical certificates.
@@ -78,8 +77,8 @@ from math import isqrt, prod
 from operator import mul
 from typing import Callable, Sequence
 
-from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, cut_masks, cut_traces
-from cutcones.metric import Metric, integer_entries, split_pairs, vertex_pairs
+from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, cut_masks
+from cutcones.metric import Metric, RationalLike, integer_entries, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 
@@ -225,100 +224,77 @@ def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult
     return FeasibilityResult(False, None, farkas, pivots)
 
 
+def _solve(columns: Sequence[Column], scale: int, rhs: Sequence[Fraction]) -> FeasibilityResult:
+    """Decide M w = rhs, w >= 0 over the integer columns A = scale * M;
+    the certificate is re-checked against the unscaled rhs."""
+    # A w = s_b rhs has s_b / scale times the witness of M w = rhs.
+    s_b, b = integer_entries(rhs)
+    result = _phase_one(columns, b)
+    if not result.feasible:
+        _check_farkas(columns, rhs, result.farkas)
+        return result
+    factor = Fraction(scale, s_b)
+    witness = tuple(w * factor for w in result.witness)
+    _check_witness(columns, scale, rhs, witness)
+    return replace(result, witness=witness)
+
+
+def _check_witness(
+    columns: Sequence[Column], scale: int, rhs: Sequence[Fraction], witness: Sequence[Fraction]
+) -> None:
+    """w >= 0 and M w = rhs for A = scale * M, in integers: with w = w' / q
+    and rhs = b / s_b, s_b sum_j w'_j A_j = scale q b."""
+    q, weights = integer_entries(witness)
+    if any(k < 0 for k in weights):
+        raise RuntimeError("simplex produced a negative witness entry")
+    s_b, b = integer_entries(rhs)
+    total = [0] * len(b)
+    for (rows, vals), k in zip(columns, weights):
+        if k:
+            for i, x in zip(rows, vals or (1,) * len(rows)):
+                total[i] += k * x
+    if any(s_b * t != scale * q * x for t, x in zip(total, b)):
+        raise RuntimeError("simplex witness fails M w = d")
+
+
+def _check_farkas(
+    columns: Sequence[Column], rhs: Sequence[Fraction], y: Sequence[RationalLike]
+) -> None:
+    """y . A_j <= 0 on every column and y . rhs > 0, in integers: y and
+    rhs are cleared of denominators first, which keeps every sign."""
+    weighted = integer_entries(y)[1]
+    get = weighted.__getitem__
+    if any(_dot(column, get) > 0 for column in columns):
+        raise RuntimeError("Farkas vector is positive on a cone generator")
+    if sum(map(mul, weighted, integer_entries(rhs)[1])) <= 0:
+        raise RuntimeError("Farkas vector is nonpositive on the target")
+
+
 def lp_feasibility(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
     """Decide M w = d, w >= 0 exactly; certificate is re-verified."""
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} != row count {matrix.rows}")
-    # Integer columns s_m M and right-hand side s_b d; the core's
-    # witness is then s_b / s_m times that of M w = d.
-    s_m, flat = integer_entries(x for row in matrix.entries for x in row)
-    s_b, b = integer_entries(rhs)
+    scale, flat = integer_entries(x for row in matrix.entries for x in row)
     columns: list[Column] = []
     for c in range(matrix.cols):
         col = flat[c :: matrix.cols]
         rows = tuple(i for i, x in enumerate(col) if x)
         vals = tuple(col[i] for i in rows)
         columns.append((rows, None if all(x == 1 for x in vals) else vals))
-    result = _phase_one(columns, b)
-    if not result.feasible:
-        _check_farkas(matrix, rhs, result.farkas)
-        return result
-    factor = Fraction(s_m, s_b)
-    witness = tuple(w * factor for w in result.witness)
-    _check_witness(matrix, rhs, witness)
-    return replace(result, witness=witness)
-
-
-def _check_witness(
-    matrix: RationalMatrix, rhs: Sequence[Fraction], witness: Sequence[Fraction]
-) -> None:
-    if any(w < 0 for w in witness):
-        raise RuntimeError("simplex produced a negative witness entry")
-    if list(matrix.mul_vector(witness)) != [Fraction(x) for x in rhs]:
-        raise RuntimeError("simplex witness fails M w = d")
-
-
-def _check_farkas(
-    matrix: RationalMatrix, rhs: Sequence[Fraction], y: Sequence[Fraction]
-) -> None:
-    totals = [_ZERO] * matrix.cols
-    for row, yi in zip(matrix.entries, y):
-        if yi:
-            totals = [t + a * yi if a else t for t, a in zip(totals, row)]
-    if any(t > 0 for t in totals):
-        raise RuntimeError("Farkas vector is positive on a cone generator")
-    if sum(yi * Fraction(x) for yi, x in zip(y, rhs)) <= 0:
-        raise RuntimeError("Farkas vector is nonpositive on the target")
+    return _solve(columns, scale, rhs)
 
 
 # ---------------------------------------------------------------------------
 # the cones of cut metrics, column by column from bitmasks
 
 
-def _cone_membership(d: Metric, masks: Sequence[int]) -> FeasibilityResult:
-    """Membership of d in the cone of the cut metrics delta(mask).
-
-    The witness follows the order of masks; both certificates are
-    re-checked over the same masks.
-    """
-    scale, b = integer_entries(d.d)
-    result = _phase_one([(tuple(split_pairs(d.n, mask)), None) for mask in masks], b)
-    if not result.feasible:
-        _check_cut_farkas(d, masks, result.farkas)
-        return result
-    witness = tuple(w / scale for w in result.witness)
-    _check_cut_witness(d, masks, witness)
-    return replace(result, witness=witness)
+def _cut_columns(n: int, masks: Sequence[int]) -> list[Column]:
+    """The 0/1 columns delta(mask), in the order of masks."""
+    return [(tuple(split_pairs(n, mask)), None) for mask in masks]
 
 
-def _check_cut_witness(d: Metric, masks: Sequence[int], w: Sequence[Fraction]) -> None:
-    """Sum of the w-weighted cut metrics delta(mask) is d."""
-    if any(x.numerator < 0 for x in w):
-        raise RuntimeError("simplex produced a negative witness entry")
-    if combine_cuts(d.n, zip(masks, w)) != d.d:
-        raise RuntimeError("simplex witness fails M w = d")
-
-
-def _check_cut_farkas(d: Metric, masks: Sequence[int], y: Sequence[Fraction]) -> None:
-    """y . delta(mask) <= 0 on every mask and y . d > 0.
-
-    y is cleared of denominators first, which keeps every sign.  With
-    one mask per complement class or more (the cut cone), every
-    y . delta(mask) is read off one cut_traces table; fewer masks (the
-    pair cuts) are summed one by one over split_pairs.
-    """
-    n = d.n
-    weighted = integer_entries(y)[1]
-    if len(masks) >= (1 << (n - 1)) - 1:
-        traces = cut_traces(n, weighted)
-        full = (1 << n) - 1
-        values = (traces[min(mask, full ^ mask)] for mask in masks)
-    else:
-        values = (sum(weighted[p] for p in split_pairs(n, mask)) for mask in masks)
-    if any(x > 0 for x in values):
-        raise RuntimeError("Farkas vector is positive on a cut metric")
-    if sum(yi * x for yi, x in zip(y, d.d)) <= 0:
-        raise RuntimeError("Farkas vector is nonpositive on the target")
+def _pair_cut_masks(n: int) -> list[int]:
+    return [1 << (i - 1) | 1 << (j - 1) for i, j in vertex_pairs(n)]
 
 
 def cutcone_membership(
@@ -336,7 +312,7 @@ def cutcone_membership(
     if d.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={d.n}")
     masks = cut_masks(d.n, max_n=d.n)
-    result = _cone_membership(d, masks[: len(masks) // 2])
+    result = _solve(_cut_columns(d.n, masks[: len(masks) // 2]), 1, d.d)
     if not result.feasible:
         return result
     return replace(result, witness=result.witness + (_ZERO,) * len(result.witness))
@@ -356,7 +332,24 @@ def paircut_membership_exact(
         raise ValueError(f"n={d.n} exceeds the pair-cut oracle maximum {max_n}")
     if d.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={d.n}")
-    return _cone_membership(d, [1 << (i - 1) | 1 << (j - 1) for i, j in vertex_pairs(d.n)])
+    return _solve(_cut_columns(d.n, _pair_cut_masks(d.n)), 1, d.d)
+
+
+def paircut_farkas(d: Metric, pair: tuple[int, int]) -> tuple[int, ...]:
+    """Closed-form Farkas vector of the pair-cut cone, n >= 5, re-checked.
+
+    For the pair k = {i, j}, y_q = (n-2)(n-4)[q = k] - (n-2)|k & q| + 2
+    over the pairs q is -2(n-2)(n-4) times row k of the inverse square
+    cut-matrix.  So y . delta(pair cut p) = -2(n-2)(n-4)[p = k] <= 0,
+    and y . d > 0 exactly when the closed-form weight of k is negative.
+    """
+    n = d.n
+    if n < 5:
+        raise ValueError(f"the closed-form Farkas vector needs n >= 5, got n={n}")
+    k = set(pair)
+    y = tuple((n - 2) * ((n - 4) * (q == k) - len(k & q)) + 2 for q in map(set, vertex_pairs(n)))
+    _check_farkas(_cut_columns(n, _pair_cut_masks(n)), d.d, y)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +422,8 @@ def random_paircut_combination(
     if low < 0:
         raise ValueError("weights must stay nonnegative")
     terms = [
-        (
-            1 << (i - 1) | 1 << (j - 1),
-            random_rational(rng, low=low, high=high, denom=denom),
-        )
-        for i, j in vertex_pairs(n)
+        (mask, random_rational(rng, low=low, high=high, denom=denom))
+        for mask in _pair_cut_masks(n)
     ]
     return Metric(n, combine_cuts(n, terms))
 

@@ -195,6 +195,32 @@ def test_paircut_exact_emits_farkas_file(cli, write, tmp_path, figure_eight_d0):
     assert all(isinstance(cio.parse_rational(x), F) for x in doc["farkas"])
 
 
+def test_paircut_closed_form_emits_farkas_file(cli, write, tmp_path):
+    # Q_3 under d0 fails the closed form; the file holds the re-checked
+    # closed-form Farkas vector, and stdout is that of a run without it
+    d = truncated_metric(family("Q", 3))
+    path = write(d)
+    fk = tmp_path / "farkas.json"
+    for fmt in ("text", "json"):
+        code, plain, _ = cli("paircut", "--format", fmt, "--metric", path)
+        code_fk, out, _ = cli(
+            "paircut", "--format", fmt, "--metric", path, "--emit-farkas", str(fk)
+        )
+        assert code == code_fk == 1 and out == plain
+    doc = json.loads(fk.read_text())
+    assert doc["n"] == 8
+    y = [cio.parse_rational(x) for x in doc["farkas"]]
+    assert sum(a * b for a, b in zip(y, d.d)) > 0
+    for i, j in itertools.combinations(range(1, 9), 2):
+        delta = cut_metric_vector(Cut.from_members(8, (i, j)))
+        assert sum(a * b for a, b in zip(y, delta)) <= 0
+    # a member writes no file
+    member = write(pair_cut_metric(5, ((1, 2), F(2))))
+    other = tmp_path / "none.json"
+    assert cli("paircut", "--metric", member, "--emit-farkas", str(other))[0] == 0
+    assert not other.exists()
+
+
 def test_paircut_exact_rejects_over_cap(cli, write, figure_eight_d0):
     code, _, err = cli(
         "paircut", "exact", "--max-n", "5", "--metric", write(figure_eight_d0)
@@ -644,10 +670,10 @@ def test_deeply_nested_json_is_an_internal_error(cli, write):
 @pytest.mark.parametrize(
     "command,check,d",
     [
-        ("cutcone", "_check_cut_witness", graph_metric(path_graph(5))),
-        ("cutcone", "_check_cut_farkas", truncated_metric(family("B", 2, 3))),
-        ("paircut", "_check_cut_witness", Metric(5, cut_metric_vector(Cut.from_members(5, (1, 2))))),
-        ("paircut", "_check_cut_farkas", truncated_metric(family("B", 2, 3))),
+        ("cutcone", "_check_witness", graph_metric(path_graph(5))),
+        ("cutcone", "_check_farkas", truncated_metric(family("B", 2, 3))),
+        ("paircut", "_check_witness", Metric(5, cut_metric_vector(Cut.from_members(5, (1, 2))))),
+        ("paircut", "_check_farkas", truncated_metric(family("B", 2, 3))),
     ],
     ids=["witness", "farkas", "paircut-witness", "paircut-farkas"],
 )

@@ -13,6 +13,7 @@ from cutcones.cut_algebra import (
     RationalMatrix,
     cut_masks,
     cut_metric_vector,
+    cut_traces,
     enumerate_cuts,
     full_cut_matrix,
     inverse_square_cut_matrix,
@@ -371,50 +372,59 @@ def pair_cut_masks(n):
     return [1 << (i - 1) | 1 << (j - 1) for i, j in vertex_pairs(n)]
 
 
+def check_cut_witness(d, masks, w):
+    """The merged witness re-check over the 0/1 columns of masks."""
+    oracle._check_witness(oracle._cut_columns(d.n, masks), 1, d.d, w)
+
+
+def check_cut_farkas(d, masks, y):
+    """The merged Farkas re-check over the 0/1 columns of masks."""
+    oracle._check_farkas(oracle._cut_columns(d.n, masks), d.d, y)
+
+
 def test_cut_certificate_rechecks_reject_bad_certificates():
     d = truncated_metric(complete_bipartite_graph(2, 3))
     masks = all_cut_masks(5)
     y = list(cutcone_membership(d).farkas)
-    oracle._check_cut_farkas(d, masks, y)
+    check_cut_farkas(d, masks, y)
     # raising y on the pair {4, 5} by enough makes it positive on the
     # cuts that split that pair, all of which hold vertex 4 or 5
     y[-1] += 100
     with pytest.raises(RuntimeError):
-        oracle._check_cut_farkas(d, masks, y)
+        check_cut_farkas(d, masks, y)
     with pytest.raises(RuntimeError):
-        oracle._check_cut_farkas(d, masks, [F(0)] * len(y))
+        check_cut_farkas(d, masks, [F(0)] * len(y))
 
     d = graph_metric(path_graph(5))
     w = list(cutcone_membership(d).witness)
-    oracle._check_cut_witness(d, masks, w)
+    check_cut_witness(d, masks, w)
     k = next(i for i, x in enumerate(w) if x)
     twin = len(w) - 1 - k  # the complement: the same cut metric
     moved = list(w)
     moved[k] += F(1, 2)
     with pytest.raises(RuntimeError):
-        oracle._check_cut_witness(d, masks, moved)
+        check_cut_witness(d, masks, moved)
     moved = list(w)
     moved[k] += 1
     moved[twin] -= 1
     with pytest.raises(RuntimeError):
-        oracle._check_cut_witness(d, masks, moved)
+        check_cut_witness(d, masks, moved)
     moved = list(w)
     moved[k], moved[twin] = F(0), w[k]
-    oracle._check_cut_witness(d, masks, moved)
+    check_cut_witness(d, masks, moved)
 
 
 def test_cut_farkas_recheck_rejects_the_smallest_positive_value():
     # y is 1/7 on the pair {1, 2}: positive on the cut {1} alone
     with pytest.raises(RuntimeError):
-        oracle._check_cut_farkas(
-            Metric(3, (F(1),) * 3), all_cut_masks(3), [F(1, 7), F(0), F(0)]
-        )
+        check_cut_farkas(Metric(3, (F(1),) * 3), all_cut_masks(3), [F(1, 7), F(0), F(0)])
 
 
 @pytest.mark.parametrize("n", range(5, 9))
-def test_cut_cone_farkas_recheck_reads_the_trace_table(n, monkeypatch):
+def test_cut_cone_farkas_recheck_reads_the_trace_table(n):
     """Over one mask per complement class, the re-check raises exactly
-    when some cut has y . delta(cut) > 0, without calling split_pairs.
+    when the cut_traces table of y has a positive entry, i.e. when some
+    cut has y . delta(cut) > 0.
 
     y is a hypermetric functional b_i b_j (sum of b is 1), nonpositive
     on every cut and zero on some, plus a small bump on a few pairs that
@@ -430,17 +440,13 @@ def test_cut_cone_farkas_recheck_reads_the_trace_table(n, monkeypatch):
         for p in rng.sample(range(len(y)), 3):
             y[p] += F(rng.choice((-1, 1)), 4 * len(y))
         d = Metric(n, tuple(F(x > 0) for x in y))
-        positive = any(
-            sum((y[p] for p in split_pairs(n, mask)), F(0)) > 0 for mask in masks
-        )
+        positive = any(x > 0 for x in cut_traces(n, integer_entries(y)[1]))
         outcomes.add(positive)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "split_pairs", None)
-            if positive:
-                with pytest.raises(RuntimeError):
-                    oracle._check_cut_farkas(d, masks, y)
-            else:
-                oracle._check_cut_farkas(d, masks, y)
+        if positive:
+            with pytest.raises(RuntimeError):
+                check_cut_farkas(d, masks, y)
+        else:
+            check_cut_farkas(d, masks, y)
     assert outcomes == {True, False}
 
 
@@ -448,35 +454,93 @@ def test_pair_cut_certificate_rechecks_reject_bad_certificates(figure_eight_d0):
     masks = pair_cut_masks(7)
     d = figure_eight_d0
     y = list(paircut_membership_exact(d).farkas)
-    oracle._check_cut_farkas(d, masks, y)
+    check_cut_farkas(d, masks, y)
     # raising y on the pair {1, 2} by enough makes it positive on the
     # pair cuts {1, k} and {2, k}, which split that pair
     y[0] += 100
     with pytest.raises(RuntimeError):
-        oracle._check_cut_farkas(d, masks, y)
+        check_cut_farkas(d, masks, y)
     with pytest.raises(RuntimeError):
-        oracle._check_cut_farkas(d, masks, [F(0)] * len(y))
+        check_cut_farkas(d, masks, [F(0)] * len(y))
     # row k of the inverse pair-cut matrix is 1 on the k-th pair cut and
     # 0 on every other one, so each pair cut must be looked at
     inverse = inverse_square_cut_matrix(7)
     for k in range(len(masks)):
         with pytest.raises(RuntimeError):
-            oracle._check_cut_farkas(d, masks, inverse.row(k))
+            check_cut_farkas(d, masks, inverse.row(k))
 
     d = random_paircut_combination(7, random.Random(8))
     w = list(paircut_membership_exact(d).witness)
-    oracle._check_cut_witness(d, masks, w)
+    check_cut_witness(d, masks, w)
     # the pair cuts are independent for n >= 5, so any moved weight
     # changes the sum
     k = next(i for i, x in enumerate(w) if x)
     moved = list(w)
     moved[k] += F(1, 4)
     with pytest.raises(RuntimeError):
-        oracle._check_cut_witness(d, masks, moved)
+        check_cut_witness(d, masks, moved)
     moved = list(w)
     moved[k] = -moved[k]
     with pytest.raises(RuntimeError):
-        oracle._check_cut_witness(d, masks, moved)
+        check_cut_witness(d, masks, moved)
+
+
+def left_solve(matrix, target):
+    """The row vector y with y M = target, for an invertible square M."""
+    k = matrix.rows
+    rows = [list(matrix.column(c)) + [F(target[c])] for c in range(k)]  # M^T | target
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[-1] for row in rows]
+
+
+def test_general_column_rechecks_reject_bad_certificates():
+    # the non-0/1 matrix of test_non_integer_rational_matrix, whose
+    # integer columns are 420 times its own
+    matrix = RationalMatrix.from_rows(
+        [
+            [F(1, 2), F(1, 3), F(0)],
+            [F(1, 4), F(1), F(-2, 5)],
+            [F(0), F(-1, 6), F(3, 7)],
+        ]
+    )
+    scale, flat = integer_entries(x for row in matrix.entries for x in row)
+    columns = integer_columns([flat[r * 3 : r * 3 + 3] for r in range(3)])
+    assert scale == 420
+
+    # d = (2, 7/10, 5/2) has s_b = 10, so the factor scale / s_b is 42
+    member = matrix.mul_vector((F(2), F(3), F(7)))
+    w = lp_feasibility(matrix, member).witness
+    oracle._check_witness(columns, scale, member, w)
+    # the witness of the integer system, without the scale / s_b factor
+    factor = F(scale, integer_entries(member)[0])
+    assert factor == 42
+    with pytest.raises(RuntimeError):
+        oracle._check_witness(columns, scale, member, [x / factor for x in w])
+    # an exact solution with one negative entry is not in the cone
+    signed = (F(1), F(-1, 2), F(1, 5))
+    outside = matrix.mul_vector(signed)
+    with pytest.raises(RuntimeError):
+        oracle._check_witness(columns, scale, outside, signed)
+
+    y = lp_feasibility(matrix, outside).farkas
+    oracle._check_farkas(columns, outside, y)
+    # y M = (-1, -1, 3): positive on the third column alone, whose
+    # entries are -2/5 and 3/7, while y . d = -1 + 1/2 + 3/5 > 0
+    y = left_solve(matrix, (-1, -1, 3))
+    assert sum(a * b for a, b in zip(y, outside)) > 0
+    with pytest.raises(RuntimeError):
+        oracle._check_farkas(columns, outside, y)
+    # y M = (-1, -2, 0) is nonpositive on every column, but y . d = 0
+    y = left_solve(matrix, (-1, -2, 0))
+    assert sum(a * b for a, b in zip(y, outside)) == 0
+    with pytest.raises(RuntimeError):
+        oracle._check_farkas(columns, outside, y)
 
 
 def test_cutcone_size_guard():
@@ -552,6 +616,33 @@ def test_paircut_exact_equals_the_dense_oracle():
             assert got == want and got.pivots == want.pivots
             seen.add(got.feasible)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_closed_form_paircut_farkas_is_a_scaled_inverse_row(n):
+    # y for the pair k is -2(n-2)(n-4) times row k of the inverse
+    # square cut-matrix, and it is returned only for a violated pair
+    rng = random.Random(100 + n)
+    inverse = inverse_square_cut_matrix(n)
+    pairs = vertex_pairs(n)
+    hits = 0
+    while hits < 3:
+        d = random_semimetric(n, rng, low=1, high=3 + n)
+        verdict = paircut_membership(d)
+        for k, pair in enumerate(pairs):
+            if verdict.weights[k] < 0:
+                y = oracle.paircut_farkas(d, pair)
+                assert [F(x) for x in y] == [-2 * (n - 2) * (n - 4) * x for x in inverse.row(k)]
+                assert not paircut_membership_exact(d).feasible
+                hits += 1
+            else:
+                with pytest.raises(RuntimeError):
+                    oracle.paircut_farkas(d, pair)
+
+
+def test_closed_form_paircut_farkas_needs_five_vertices():
+    with pytest.raises(ValueError):
+        oracle.paircut_farkas(metric_of_ints(4, [1] * 6), (1, 2))
 
 
 def test_paircut_exact_witness_matches_closed_form_weights():
