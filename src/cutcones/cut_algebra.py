@@ -37,7 +37,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from cutcones.metric import integer_entries, num_pairs, pair_index, split_pairs, vertex_pairs
+from cutcones.metric import (
+    integer_entries, num_pairs, pair_index, pair_table, split_pairs, vertex_pairs,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -133,11 +135,7 @@ def cut_traces(n: int, values: Sequence[int]) -> list[int]:
     values(i, v) over i in S, built by doubling.  One list
     comprehension per vertex, O(2^n) in all.
     """
-    if len(values) != num_pairs(n):
-        raise ValueError(f"{n} vertices need {num_pairs(n)} pair values, got {len(values)}")
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), x in zip(vertex_pairs(n), values):
-        rows[i - 1][j - 1] = rows[j - 1][i - 1] = x
+    rows = pair_table(n, values)
     traces = [0]
     for v in range(n - 1):
         row = rows[v]

@@ -251,22 +251,15 @@ def graph_from_json(obj: Any) -> SimpleGraph:
         adj = obj["adjacency"]
         if not (isinstance(adj, list) and len(adj) == n):
             raise ValueError(f"adjacency must be an {n}x{n} 0/1 matrix")
-        edges = []
-        for i, row in enumerate(adj, start=1):
+        rows = []
+        for row in adj:
             if not (isinstance(row, list) and len(row) == n):
                 raise ValueError(f"adjacency must be an {n}x{n} 0/1 matrix")
-            for j, v in enumerate(row, start=1):
-                if v not in (0, 1) or isinstance(v, bool):
+            for v in row:
+                if type(v) is not int or v not in (0, 1):
                     raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
-                if v and i < j:
-                    edges.append((i, j))
-        g = SimpleGraph.from_edges(n, edges)
-        for i, row in enumerate(adj, start=1):
-            for j, v in enumerate(row, start=1):
-                want = 1 if g.are_adjacent(i, j) else 0
-                if v != want:
-                    raise ValueError(f"adjacency not symmetric/loop-free at ({i}, {j})")
-        return g
+            rows.append(sum(1 << j for j, v in enumerate(row) if v))
+        return SimpleGraph(n, tuple(rows))
     raise ValueError("graph document needs an 'edges' or 'adjacency' field")
 
 

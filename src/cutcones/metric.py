@@ -8,6 +8,11 @@ arithmetic on these vectors.  Several of the membership inequalities
 are tight on natural examples, so nothing here may round: floats are
 rejected at the door instead of being coerced.
 
+pair_table is the one builder of the symmetric n x n table, and
+integer_table gives the table of q * d over d's common denominator q:
+validation, star traces (row sums), pair-cut slacks, cut traces and
+sphere-of-influence radii all read it.
+
 Vertices are 1-based throughout; pair indices are 0-based.
 """
 
@@ -84,7 +89,7 @@ class Metric:
     @classmethod
     def from_function(cls, n: int, dist: Callable[[int, int], RationalLike]) -> "Metric":
         """Build from a symmetric distance function on vertex pairs."""
-        return cls(n, tuple(as_fraction(dist(i, j)) for i, j in vertex_pairs(n)))
+        return cls(n, tuple(dist(i, j) for i, j in vertex_pairs(n)))
 
     def distance(self, i: int, j: int) -> Fraction:
         """d(i, j); symmetric, zero on the diagonal."""
@@ -129,6 +134,27 @@ def integer_entries(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
+def pair_table(n: int, values: Sequence[RationalLike]) -> list[list[RationalLike]]:
+    """Symmetric n x n table of pair-indexed values, zero diagonal: entry
+    [i-1][j-1] is values[pair_index(i, j, n)] for i < j.  Row i is the
+    column of the rows before it, a zero, then the pairs (i, j > i)."""
+    if len(values) != num_pairs(n):
+        raise ValueError(f"{n} vertices need {num_pairs(n)} pair values, got {len(values)}")
+    rows: list[list[RationalLike]] = []
+    start = 0
+    for i in range(n):
+        stop = start + n - 1 - i
+        rows.append([row[i] for row in rows] + [0] + list(values[start:stop]))
+        start = stop
+    return rows
+
+
+def integer_table(d: Metric) -> tuple[int, list[list[int]]]:
+    """Common denominator q of d and the pair table of q * d, in ints."""
+    den, entries = integer_entries(d.d)
+    return den, pair_table(d.n, entries)
+
+
 def validate_metric(d: Metric, *, strict: bool = False) -> ValidationReport:
     """Check the semi-metric axioms (strict: also no zero off-diagonal).
 
@@ -136,36 +162,36 @@ def validate_metric(d: Metric, *, strict: bool = False) -> ValidationReport:
     remains is nonnegativity and every triangle inequality
     d(i,j) <= d(i,k) + d(k,j).  All violations are reported, not just
     the first, in (i, j, k) order.
-
-    The triangle check clears the denominators once (integer_entries)
-    and works on the symmetric n x n table of integers.  For each pair
-    i < j, rows i and j are summed and screened against d(i,j) in one
-    pass; only a pair whose screen fails is walked k by k.  The k = i
-    and k = j terms equal d(i,j), so they never trip the screen or show
-    up as violations.
     """
-    n = d.n
-    pairs = vertex_pairs(n)
-    den, entries = integer_entries(d.d)
-    rows = [[0] * n for _ in range(n)]
+    return _validate_table(*integer_table(d), strict=strict)
+
+
+def _validate_table(den: int, rows: list[list[int]], *, strict: bool) -> ValidationReport:
+    """validate_metric on the integer table of q * d.
+
+    For each pair i < j, rows i and j are summed and screened against
+    d(i,j) in one pass; only a pair whose screen fails is walked k by
+    k.  The k = i and k = j terms equal d(i,j), so they never trip the
+    screen or show up as violations.
+    """
+    n = len(rows)
     negatives = []
     zeros = []
-    for (i, j), x, v in zip(pairs, entries, d.d):
-        rows[i - 1][j - 1] = rows[j - 1][i - 1] = x
-        if x < 0:
-            negatives.append((i, j, v))
-        elif strict and x == 0:
-            zeros.append((i, j))
     triangles = []
-    for i, j in pairs:
-        row_i, row_j = rows[i - 1], rows[j - 1]
-        dij = row_i[j - 1]
-        if min(map(add, row_i, row_j)) >= dij:
-            continue
-        for k, (a, b) in enumerate(zip(row_i, row_j), start=1):
-            slack = a + b - dij
-            if slack < 0:
-                triangles.append((i, j, k, Fraction(slack, den)))
+    for i, row_i in enumerate(rows, start=1):
+        for j in range(i + 1, n + 1):
+            row_j = rows[j - 1]
+            dij = row_i[j - 1]
+            if dij < 0:
+                negatives.append((i, j, Fraction(dij, den)))
+            elif strict and dij == 0:
+                zeros.append((i, j))
+            if min(map(add, row_i, row_j)) >= dij:
+                continue
+            for k, (a, b) in enumerate(zip(row_i, row_j), start=1):
+                slack = a + b - dij
+                if slack < 0:
+                    triangles.append((i, j, k, Fraction(slack, den)))
     return ValidationReport(
         strict=strict,
         triangle_violations=tuple(triangles),
@@ -194,14 +220,15 @@ class MetricSummary:
 
 
 def summarize(d: Metric) -> MetricSummary:
-    """Compute the trace and all star traces in one pass."""
-    stars = [_ZERO] * d.n
-    total = _ZERO
-    for (i, j), v in zip(vertex_pairs(d.n), d.d):
-        total += v
-        stars[i - 1] += v
-        stars[j - 1] += v
-    return MetricSummary(n=d.n, trace=total, star_traces=tuple(stars))
+    """The trace and all star traces: the star traces are the row sums
+    of the integer table, and the trace is half their sum."""
+    den, rows = integer_table(d)
+    stars = [sum(row) for row in rows]
+    return MetricSummary(
+        n=d.n,
+        trace=Fraction(sum(stars) // 2, den),
+        star_traces=tuple(Fraction(s, den) for s in stars),
+    )
 
 
 def split_pairs(n: int, mask: int) -> list[int]:

@@ -78,7 +78,9 @@ from operator import mul
 from typing import Callable, Sequence
 
 from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, cut_masks
-from cutcones.metric import Metric, RationalLike, integer_entries, split_pairs, vertex_pairs
+from cutcones.metric import (
+    Metric, RationalLike, integer_entries, pair_table, split_pairs, vertex_pairs,
+)
 
 _ZERO = Fraction(0)
 
@@ -441,15 +443,12 @@ def random_semimetric(
     enforces every triangle inequality without leaving the rationals.
     May or may not belong to either cone.
     """
-    dist = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-    for i, j in vertex_pairs(n):
-        v = random_rational(rng, low=low, high=high, denom=denom)
-        dist[i][j] = dist[j][i] = v
-    for k in range(1, n + 1):
-        for i in range(1, n + 1):
-            dik = dist[i][k]
-            for j in range(1, n + 1):
-                via = dik + dist[k][j]
-                if i != j and via < dist[i][j]:
-                    dist[i][j] = via
-    return Metric.from_function(n, lambda i, j: dist[i][j])
+    values = [random_rational(rng, low=low, high=high, denom=denom) for _ in vertex_pairs(n)]
+    dist = pair_table(n, values)
+    for k, row_k in enumerate(dist):
+        for row_i in dist:
+            dik = row_i[k]
+            for j, dkj in enumerate(row_k):
+                if dik + dkj < row_i[j]:
+                    row_i[j] = dik + dkj
+    return Metric(n, tuple(x for i, row in enumerate(dist) for x in row[i + 1 :]))

@@ -17,7 +17,7 @@ with equality allowed (the cone is closed).  This module evaluates the
 weights, the inequalities, the per-vertex necessary condition
 (n-2) s_i >= Tr(d), and the constant-star shortcut.  All arithmetic is
 exact; verdicts on boundary cases depend on it.  The weights and
-slacks are evaluated in integers over one common denominator.
+slacks are evaluated in integers, on metric.integer_table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cutcones.metric import Metric, integer_entries, summarize, vertex_pairs
+from cutcones.metric import Metric, integer_table, summarize, vertex_pairs
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,13 @@ def _slack_numerators(d: Metric) -> tuple[list[int], int]:
     integers and (n-2) q.
     """
     n = d.n
-    den, entries = integer_entries(d.d)
-    pairs = vertex_pairs(n)
-    stars = [0] * n
-    for (i, j), x in zip(pairs, entries):
-        stars[i - 1] += x
-        stars[j - 1] += x
-    rhs = 2 * sum(entries)
+    den, rows = integer_table(d)
+    stars = [sum(row) for row in rows]
+    rhs = sum(stars)  # twice the trace
     numerators = [
-        (n - 2) * (stars[i - 1] + stars[j - 1] - (n - 4) * x) - rhs
-        for (i, j), x in zip(pairs, entries)
+        (n - 2) * (stars[i] + stars[j] - (n - 4) * row[j]) - rhs
+        for i, row in enumerate(rows)
+        for j in range(i + 1, n)
     ]
     return numerators, (n - 2) * den
 

@@ -3,26 +3,29 @@
 Each vertex i of a strict metric d gets the radius r_i = min distance
 to any other vertex; i and j are adjacent in the SIG exactly when
 d(i, j) < r_i + r_j (strict inequality: a tie is a non-edge).  The
-module also provides the two canonical metrics of a simple graph (the
-truncated metric with 1 on edges and 2 on non-edges, and the
-shortest-path metric), a small catalog of graph families, and the
-star-graph construction that manufactures SIG-metrics lying outside
-the pair-cut cone.
+SIG functions clear d once per call (metric.integer_table), validate
+that table, and read the radii and adjacency rows off it in _sig_rows,
+the one edge rule.  Graphs are row bitmasks; SimpleGraph's constructor
+is the one loop and symmetry check, over set bits only, and one bitmask
+BFS serves is_connected and graph_metric.  The module also provides
+the two canonical metrics of a simple graph (the truncated metric with
+1 on edges and 2 on non-edges, and the shortest-path metric), a small
+catalog of graph families, and the star-graph construction that
+manufactures SIG-metrics lying outside the pair-cut cone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cutcones.metric import (
     Metric,
     RationalLike,
+    _validate_table,
     as_fraction,
-    integer_entries,
-    validate_metric,
+    integer_table,
     vertex_pairs,
 )
 from cutcones.paircut import PaircutVerdict, paircut_membership
@@ -45,16 +48,17 @@ class SimpleGraph:
             raise ValueError(
                 f"expected {self.n} adjacency rows, got {len(self.adjacency)}"
             )
+        full = 1 << self.n
         for v, row in enumerate(self.adjacency, start=1):
-            if not 0 <= row < (1 << self.n):
+            if not 0 <= row < full:
                 raise ValueError(f"adjacency row for vertex {v} out of range")
             if row >> (v - 1) & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for i, j in vertex_pairs(self.n):
-            if (self.adjacency[i - 1] >> (j - 1) & 1) != (
-                self.adjacency[j - 1] >> (i - 1) & 1
-            ):
-                raise ValueError(f"asymmetric adjacency between {i} and {j}")
+            for u in _vertices(row):
+                if not self.adjacency[u - 1] >> (v - 1) & 1:
+                    raise ValueError(
+                        f"asymmetric adjacency between {min(u, v)} and {max(u, v)}"
+                    )
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -62,8 +66,6 @@ class SimpleGraph:
         for i, j in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i}, {j}) out of range 1..{n}")
-            if i == j:
-                raise ValueError(f"loop at vertex {i}")
             rows[i - 1] |= 1 << (j - 1)
             rows[j - 1] |= 1 << (i - 1)
         return cls(n, tuple(rows))
@@ -76,7 +78,9 @@ class SimpleGraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
-            (i, j) for i, j in vertex_pairs(self.n) if self.are_adjacent(i, j)
+            (i, j)
+            for i, row in enumerate(self.adjacency, start=1)
+            for j in _vertices(row >> i << i)
         )
 
     def degree(self, v: int) -> int:
@@ -85,20 +89,34 @@ class SimpleGraph:
         return self.adjacency[v - 1].bit_count()
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = 1
-        queue = deque([1])
-        while queue:
-            v = queue.popleft()
-            row = self.adjacency[v - 1]
-            new = row & ~seen
-            while new:
-                low = new & -new
-                seen |= low
-                queue.append(low.bit_length())
-                new ^= low
-        return seen == (1 << self.n) - 1
+        return all(_hops(self.adjacency, 1)[1:])
+
+
+def _vertices(mask: int) -> Iterator[int]:
+    """Vertices whose bits are set in mask, ascending (bit k-1 is vertex k)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def _hops(adjacency: Sequence[int], source: int) -> list[int]:
+    """Hop counts from source by breadth-first search over adjacency row
+    bitmasks, one frontier bitmask per level; 0 at the source and at
+    every vertex it does not reach."""
+    hops = [0] * len(adjacency)
+    seen = frontier = 1 << (source - 1)
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = 0
+        for v in _vertices(frontier):
+            reached |= adjacency[v - 1]
+        frontier = reached & ~seen
+        seen |= frontier
+        for v in _vertices(frontier):
+            hops[v - 1] = depth
+    return hops
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +125,6 @@ class SimpleGraph:
 
 def truncated_metric(graph: SimpleGraph) -> Metric:
     """Distance 1 on edges, 2 on non-edges: always a strict metric."""
-    if graph.n < 2:
-        raise ValueError(f"need at least 2 vertices, got n={graph.n}")
     return Metric.from_function(
         graph.n, lambda i, j: _ONE if graph.are_adjacent(i, j) else _TWO
     )
@@ -116,31 +132,10 @@ def truncated_metric(graph: SimpleGraph) -> Metric:
 
 def graph_metric(graph: SimpleGraph) -> Metric:
     """Shortest-path (hop count) metric; rejects disconnected graphs."""
-    if graph.n < 2:
-        raise ValueError(f"need at least 2 vertices, got n={graph.n}")
+    if not graph.is_connected():
+        raise ValueError("graph metric requires a connected graph")
     n = graph.n
-    dist = [[0] * (n + 1) for _ in range(n + 1)]
-    for src in range(1, n + 1):
-        seen = 1 << (src - 1)
-        frontier = [src]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for v in frontier:
-                row = graph.adjacency[v - 1]
-                new = row & ~seen
-                while new:
-                    low = new & -new
-                    seen |= low
-                    w = low.bit_length()
-                    dist[src][w] = depth
-                    nxt.append(w)
-                    new ^= low
-            frontier = nxt
-        if seen != (1 << n) - 1:
-            raise ValueError("graph metric requires a connected graph")
-    return Metric.from_function(n, lambda i, j: Fraction(dist[i][j]))
+    return Metric(n, tuple(x for v in range(1, n + 1) for x in _hops(graph.adjacency, v)[v:]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +144,30 @@ def graph_metric(graph: SimpleGraph) -> Metric:
 
 def influence_radii(d: Metric) -> tuple[Fraction, ...]:
     """r_i = min over j != i of d(i, j); requires a strict metric."""
-    den, _, radii = _integer_radii(d)
+    den, radii, _ = _sig_rows(d)
     return tuple(Fraction(r, den) for r in radii)
 
 
-def _integer_radii(d: Metric) -> tuple[int, list[int], list[int]]:
-    """Common denominator q, q * d in pair order and q * r_i per vertex."""
-    _reject_non_strict(d)
-    den, entries = integer_entries(d.d)
-    rows = [[] for _ in range(d.n)]
-    for (i, j), x in zip(vertex_pairs(d.n), entries):
-        rows[i - 1].append(x)
-        rows[j - 1].append(x)
-    return den, entries, [min(row) for row in rows]
+def _sig_rows(d: Metric) -> tuple[int, list[int], tuple[int, ...]]:
+    """Common denominator q of d, q * r_i per vertex, and the adjacency
+    row bitmasks of the SIG, all from one integer table of q * d.
+    Rejects a metric that is not strict."""
+    den, rows = integer_table(d)
+    report = _validate_table(den, rows, strict=True)
+    if not report.valid:
+        raise ValueError(
+            "sphere-of-influence construction requires a strict metric; "
+            f"violations: triangles={len(report.triangle_violations)}, "
+            f"negatives={len(report.negative_entries)}, "
+            f"zeros={len(report.zero_entries)}"
+        )
+    radii = [min(row[:i] + row[i + 1 :]) for i, row in enumerate(rows)]
+    # the diagonal entry 0 is below 2 r_i; its bit is cleared
+    adjacency = tuple(
+        sum(1 << j for j, (x, rj) in enumerate(zip(row, radii)) if x < ri + rj) & ~(1 << i)
+        for i, (row, ri) in enumerate(zip(rows, radii))
+    )
+    return den, radii, adjacency
 
 
 def sig_graph(d: Metric) -> SimpleGraph:
@@ -170,15 +176,7 @@ def sig_graph(d: Metric) -> SimpleGraph:
     Ties (equality) are non-edges.  Rejects inputs with zero or
     negative off-diagonal entries or triangle violations.
     """
-    _, entries, radii = _integer_radii(d)
-    return SimpleGraph.from_edges(
-        d.n,
-        (
-            (i, j)
-            for (i, j), x in zip(vertex_pairs(d.n), entries)
-            if x < radii[i - 1] + radii[j - 1]
-        ),
-    )
+    return SimpleGraph(d.n, _sig_rows(d)[2])
 
 
 @dataclass(frozen=True)
@@ -199,33 +197,18 @@ def verify_sig_metric(d: Metric, graph: SimpleGraph) -> SigReport:
     """Check that the SIG of d is exactly the given graph."""
     if graph.n != d.n:
         raise ValueError(f"graph on {graph.n} vertices vs metric on {d.n}")
-    den, entries, radii = _integer_radii(d)
+    den, radii, joined = _sig_rows(d)
     missing = []
     extra = []
-    for (i, j), x in zip(vertex_pairs(d.n), entries):
-        joined = x < radii[i - 1] + radii[j - 1]
-        adjacent = graph.adjacency[i - 1] >> (j - 1) & 1
-        if adjacent and not joined:
-            missing.append((i, j))
-        elif joined and not adjacent:
-            extra.append((i, j))
+    for i, (mine, target) in enumerate(zip(joined, graph.adjacency), start=1):
+        for j in _vertices((mine ^ target) >> i << i):
+            (missing if target >> (j - 1) & 1 else extra).append((i, j))
     return SigReport(
         matches=not missing and not extra,
         radii=tuple(Fraction(r, den) for r in radii),
         missing_edges=tuple(missing),
         extra_edges=tuple(extra),
     )
-
-
-def _reject_non_strict(d: Metric) -> None:
-    report = validate_metric(d, strict=True)
-    if not report.valid:
-        raise ValueError(
-            "sphere-of-influence construction requires a strict metric; "
-            f"violations: triangles={len(report.triangle_violations)}, "
-            f"negatives={len(report.negative_entries)}, "
-            f"zeros={len(report.zero_entries)}"
-        )
 
 
 # ---------------------------------------------------------------------------

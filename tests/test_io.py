@@ -251,6 +251,9 @@ def test_graph_adjacency_rejections():
         graph_from_json({"n": 3, "adjacency": two})
     with pytest.raises(ValueError):
         graph_from_json({"n": 3, "adjacency": base[:2]})
+    # entries must be JSON ints, as edge endpoints are: 1.0 reads as Fraction(1)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        loads_graph('{"n": 2, "adjacency": [[0, 1.0], [1.0, 0]]}')
 
 
 def test_graph_document_errors():

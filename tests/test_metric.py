@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from cutcones import sig
+from cutcones import metric as metric_module, sig
 from cutcones.embeddings import PointSet, verify_isometry
 from cutcones.cut_algebra import Cut, cut_metric_vector, pair_cut
 from cutcones.metric import (
     Metric,
+    MetricSummary,
     ValidationReport,
     as_fraction,
     cut_trace,
@@ -22,6 +23,8 @@ from cutcones.metric import (
     vertex_pairs,
 )
 from cutcones.oracle import random_semimetric
+from cutcones.paircut import paircut_membership, paircut_weights
+from cutcones.sig import SimpleGraph
 
 from conftest import metric_of_ints
 
@@ -107,9 +110,15 @@ def test_distance_is_symmetric_with_zero_diagonal():
         d.distance(0, 2)
 
 
-def test_from_function_and_scaled():
+def test_from_function_and_scaled(monkeypatch):
+    calls = []
+    monkeypatch.setattr(metric_module, "as_fraction", lambda x: calls.append(x) or as_fraction(x))
     d = Metric.from_function(4, lambda i, j: abs(i - j))
     assert d.d == tuple(Fraction(x) for x in (1, 2, 3, 1, 2, 1))
+    assert all(type(x) is Fraction for x in d.d)
+    assert len(calls) == 6  # once per entry
+    with pytest.raises(TypeError):
+        Metric.from_function(3, lambda i, j: 0.5)
     e = d.scaled(Fraction(3, 2))
     assert e.distance(1, 4) == Fraction(9, 2)
     assert e.n == 4
@@ -184,24 +193,98 @@ def random_entry(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 24), rng.choice([1, 2, 3, 4, 5, 6, 7, 12]))
 
 
+def sig_tie_metric(n: int, rng: random.Random) -> Metric:
+    """d(i,j) = p_i + p_j - e_ij with 0 <= e_ij <= min(p_i, p_j): a strict
+    metric (e_ik + e_kj <= 2 p_k).  An e_ij of min(p_i, p_j) puts a radius
+    at p_i, so the pairs with e = 0 tend to sit exactly on r_i + r_j."""
+    p = [Fraction(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 6, 7])) for _ in range(n)]
+    entries = []
+    for i, j in vertex_pairs(n):
+        low = min(p[i - 1], p[j - 1])
+        e = rng.choice([0, 0, low, low * Fraction(rng.randint(1, 3), 4)])
+        entries.append(p[i - 1] + p[j - 1] - e)
+    return Metric(n, tuple(entries))
+
+
+def random_test_metric(trial: int, rng: random.Random) -> Metric:
+    """Candidate metrics on 2..10 vertices with mixed denominators: nudged
+    semi-metrics, strict metrics with SIG ties, and random entries with
+    zeros and negatives."""
+    n = 2 + trial % 9
+    kind = trial % 4
+    if kind == 0:
+        # a semi-metric, then nudged so a few triangles fail by little
+        entries = list(random_semimetric(n, rng).d)
+        for _ in range(rng.randint(0, 2)):
+            p = rng.randrange(len(entries))
+            entries[p] += Fraction(rng.randint(1, 9), rng.choice([2, 3, 5, 8]))
+        return Metric(n, tuple(entries))
+    if kind == 1:
+        return sig_tie_metric(n, rng)
+    return Metric(n, tuple(random_entry(rng) for _ in range(num_pairs(n))))
+
+
 def test_validate_matches_naive_triple_loop():
     rng = random.Random(20261018)
     for trial in range(600):
-        n = 2 + trial % 8
-        if trial % 3 == 0:
-            # a semi-metric, then nudged so a few triangles fail by little
-            d = random_semimetric(n, rng)
-            entries = list(d.d)
-            for _ in range(rng.randint(0, 2)):
-                p = rng.randrange(len(entries))
-                entries[p] += Fraction(rng.randint(1, 9), rng.choice([2, 3, 5, 8]))
-        else:
-            entries = [random_entry(rng) for _ in range(num_pairs(n))]
-        d = Metric(n, tuple(entries))
+        d = random_test_metric(trial, rng)
         for strict in (False, True):
             got = validate_metric(d, strict=strict)
             assert got == naive_validate(d, strict)
             assert all(type(s) is Fraction for *_, s in got.triangle_violations)
+
+
+def test_table_readers_match_naive_definitions():
+    """Every reader of the pair table against its definition, through
+    Metric.distance: the trace and star traces, the pair-cut slacks
+    s_i + s_j - (n-4) d(i,j) - 2 Tr/(n-2) and weights slack/(2(n-4)),
+    the radii r_i = min_{j != i} d(i,j), and the SIG edge rule
+    d(i,j) < r_i + r_j (a tie is a non-edge)."""
+    rng = random.Random(20261019)
+    ties = 0
+    for trial in range(400):
+        d = random_test_metric(trial, rng)
+        n = d.n
+        dist = d.distance
+        stars = tuple(sum(dist(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
+        trace = sum((dist(i, j) for i, j in vertex_pairs(n)), Fraction(0))
+        assert summarize(d) == MetricSummary(n, trace, stars)
+        if n >= 5:
+            slacks = [
+                stars[i - 1] + stars[j - 1] - (n - 4) * dist(i, j) - 2 * trace / (n - 2)
+                for i, j in vertex_pairs(n)
+            ]
+            verdict = paircut_membership(d)
+            assert verdict.weights == tuple(t / (2 * (n - 4)) for t in slacks)
+            assert paircut_weights(d) == verdict.weights
+            assert verdict.violations == tuple(
+                (pair, t) for pair, t in zip(vertex_pairs(n), slacks) if t < 0
+            )
+            assert verdict.member == all(t >= 0 for t in slacks)
+        target = SimpleGraph.from_edges(
+            n, [pair for pair in vertex_pairs(n) if rng.random() < 0.5]
+        )
+        if not validate_metric(d, strict=True).valid:
+            for call in (sig.influence_radii, sig.sig_graph, lambda m: sig.verify_sig_metric(m, target)):
+                with pytest.raises(ValueError, match="requires a strict metric"):
+                    call(d)
+            continue
+        radii = tuple(
+            min(dist(i, j) for j in range(1, n + 1) if j != i) for i in range(1, n + 1)
+        )
+        edges = tuple(
+            (i, j) for i, j in vertex_pairs(n) if dist(i, j) < radii[i - 1] + radii[j - 1]
+        )
+        ties += sum(dist(i, j) == radii[i - 1] + radii[j - 1] for i, j in vertex_pairs(n))
+        assert sig.influence_radii(d) == radii
+        assert sig.sig_graph(d).edges == edges
+        report = sig.verify_sig_metric(d, target)
+        assert report.radii == radii
+        assert report.missing_edges == tuple(e for e in target.edges if e not in edges)
+        assert report.extra_edges == tuple(e for e in edges if e not in target.edges)
+        assert report.matches == (target.edges == edges)
+        assert sig.verify_sig_metric(d, sig.sig_graph(d)).matches
+    assert ties > 100
 
 
 def test_validate_and_sig_graph_do_not_call_distance(monkeypatch):

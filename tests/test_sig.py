@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutcones import sig
 from cutcones.metric import Metric, summarize
 from cutcones.paircut import paircut_membership
 from cutcones.sig import (
@@ -65,6 +66,23 @@ def test_graph_rejects_bad_edges():
         SimpleGraph.from_edges(3, [(1, 4)])
     with pytest.raises(ValueError):
         SimpleGraph.from_edges(3, [(0, 2)])
+
+
+def test_graph_checks_walk_set_bits_only(monkeypatch):
+    # the loop and symmetry checks cost O(n + edges), not a walk over all pairs
+    def forbidden(n):
+        raise AssertionError("vertex_pairs called")
+
+    monkeypatch.setattr(sig, "vertex_pairs", forbidden)
+    n = 5000
+    g = SimpleGraph.from_edges(n, [(1, 2)])
+    assert g.edges == ((1, 2),) and not g.is_connected()
+    one_sided = [0] * n
+    one_sided[n - 1] = 1
+    with pytest.raises(ValueError, match=f"asymmetric adjacency between 1 and {n}"):
+        SimpleGraph(n, tuple(one_sided))
+    with pytest.raises(ValueError, match="loop at vertex 3"):
+        SimpleGraph.from_edges(n, [(1, 2), (3, 3)])
 
 
 # ---------------------------------------------------------------------------
