@@ -40,18 +40,6 @@ def _read_text(path: str | None) -> str:
     return Path(path).read_text()
 
 
-def _load_metric(path: str | None) -> cm.Metric:
-    return cio.loads_metric(_read_text(path))
-
-
-def _load_graph(path: str | None) -> sig.SimpleGraph:
-    return cio.loads_graph(_read_text(path))
-
-
-def _load_certificate(path: str | None) -> fullcut.CutCertificate:
-    return cio.loads_certificate(_read_text(path))
-
-
 def _print_payload(payload: str, out: str | None) -> None:
     if out and out != "-":
         Path(out).write_text(payload)
@@ -77,7 +65,7 @@ def _emit_verdict(args: argparse.Namespace, doc: dict[str, Any], lines: Iterable
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    d = _load_metric(args.metric)
+    d = cio.loads_metric(_read_text(args.metric))
     report = cm.validate_metric(d, strict=args.strict)
     doc = {
         "command": "validate",
@@ -106,7 +94,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    d = _load_metric(args.metric)
+    d = cio.loads_metric(_read_text(args.metric))
     s = cm.summarize(d)
     doc = {
         "command": "stats",
@@ -139,14 +127,14 @@ def _farkas_verdict(
 
 def _emit_farkas(args: argparse.Namespace, n: int, farkas: Iterable[cm.RationalLike]) -> list[str]:
     """Write farkas to the --emit-farkas file, if given; return its tokens."""
-    tokens = [_q(x) for x in farkas]
+    doc = cio.farkas_to_json(n, farkas)
     if args.emit_farkas:
-        Path(args.emit_farkas).write_text(cio.dumps_json({"n": n, "farkas": tokens}))
-    return tokens
+        Path(args.emit_farkas).write_text(cio.dumps_json(doc))
+    return doc["farkas"]
 
 
 def _cmd_paircut(args: argparse.Namespace) -> int:
-    d = _load_metric(args.metric)
+    d = cio.loads_metric(_read_text(args.metric))
     use_oracle = args.mode == "exact" or d.n < 5
     if use_oracle:
         result = oracle.paircut_membership_exact(d, **_max_n(args))
@@ -221,7 +209,7 @@ def _inconclusive_lines(failing: tuple[cut_algebra.Cut, ...]) -> Iterator[str]:
 
 
 def _cmd_cutcone(args: argparse.Namespace) -> int:
-    d = _load_metric(args.metric)
+    d = cio.loads_metric(_read_text(args.metric))
     if args.mode == "sufficient":
         verdict = fullcut.sufficient_condition(d, **_max_n(args))
         member = verdict.status == "member"
@@ -259,8 +247,8 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_cert(args: argparse.Namespace) -> int:
-    cert = _load_certificate(args.cert)
-    d = _load_metric(args.metric)
+    cert = cio.loads_certificate(_read_text(args.cert))
+    d = cio.loads_metric(_read_text(args.metric))
     report = fullcut.verify_cut_certificate(cert, d)
     doc: dict[str, Any] = {
         "command": "verify-cert",
@@ -288,8 +276,8 @@ def _verify_lines(report: fullcut.CertificateReport) -> Iterator[str]:
 
 
 def _cmd_sig_verify(args: argparse.Namespace) -> int:
-    d = _load_metric(args.metric)
-    g = _load_graph(args.graph)
+    d = cio.loads_metric(_read_text(args.metric))
+    g = cio.loads_graph(_read_text(args.graph))
     report = sig.verify_sig_metric(d, g)
     doc = {
         "command": "sig-verify",
@@ -379,10 +367,10 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     if args.kind == "l1":
-        cert = _load_certificate(args.cert)
+        cert = cio.loads_certificate(_read_text(args.cert))
         points = embeddings.l1_embedding(cert)
         if args.metric:
-            d = _load_metric(args.metric)
+            d = cio.loads_metric(_read_text(args.metric))
             report = embeddings.verify_isometry(points, d)
             if not report.ok:
                 for (i, j), got, want in report.mismatches:
@@ -392,14 +380,14 @@ def _cmd_embed(args: argparse.Namespace) -> int:
                     )
                 return EXIT_NON_MEMBER
     else:
-        g = _load_graph(args.graph)
+        g = cio.loads_graph(_read_text(args.graph))
         points = embeddings.linf_sig_embedding(g)
     _print_payload(cio.dumps_points(points), args.output)
     return EXIT_MEMBER
 
 
 def _cmd_sig_build(args: argparse.Namespace) -> int:
-    d = _load_metric(args.metric)
+    d = cio.loads_metric(_read_text(args.metric))
     g = sig.sig_graph(d)
     _print_payload(cio.dumps_graph(g), args.output)
     return EXIT_MEMBER

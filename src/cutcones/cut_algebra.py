@@ -57,7 +57,8 @@ class Cut:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 vertices, got n={self.n}")
-        if not 0 <= self.members < (1 << self.n):
+        # bit_length, not 1 << n: a hostile n must not cost an n-bit int
+        if not (self.members >= 0 and self.members.bit_length() <= self.n):
             raise ValueError(f"bitmask {self.members:#x} out of range for n={self.n}")
 
     @classmethod
@@ -327,36 +328,6 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         if x and y:
             total += x * y
     return total
-
-
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank over the rationals by fraction-free elimination.
-
-    Each row is cleared of denominators (which keeps the rank), then
-    Bareiss elimination runs in integers: every entry below the pivot
-    rows becomes (x * piv - f * p) / denom, with denom the previous
-    pivot, and the division is exact (the results are minors).
-    """
-    work = [integer_entries(row)[1] for row in rows]
-    if not work:
-        return 0
-    rank = 0
-    denom = 1
-    for col in range(len(work[0])):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        piv = prow[col]
-        for r in range(rank + 1, len(work)):
-            f = work[r][col]
-            work[r] = [(x * piv - f * p) // denom for x, p in zip(work[r], prow)]
-        denom = piv
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

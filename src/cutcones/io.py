@@ -18,12 +18,15 @@ Formats:
                or {"n": 4, "adjacency": [[0, 1, ...], ...]}
   certificate  {"n": 5, "cuts": [{"members": [1, 3], "weight": "1/2"},
                                  {"mask": 5, "weight": 2}, ...]}
+  farkas       {"n": 5, "farkas": ["1", "-1/2", ...]}  (string tokens)
   points       {"norm": "l1", "points": [["0", "1/2"], ...]}
 
 Every JSON document, in a file or on stdout, is written by dumps_json:
 byte for byte the layout of the stdlib's json.dumps with a two-space
 indent, one value per line.  Matrices dump to plain text, one row per
-line, entries as space-separated rational tokens.
+line, entries as space-separated rational tokens.  Metrics, graphs and
+certificates are read back; Farkas vectors, points and matrices are
+only written.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ import json
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import or_
-from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from cutcones.cut_algebra import Cut, RationalMatrix
 from cutcones.embeddings import PointSet
 from cutcones.fullcut import CutCertificate
-from cutcones.metric import Metric, num_pairs
+from cutcones.metric import Metric, RationalLike, num_pairs
 from cutcones.sig import SimpleGraph
 
 MAX_TOKEN_DIGITS = 4300
@@ -217,20 +219,12 @@ def loads_metric(text: str) -> Metric:
     return metric_from_json(loads_json(text))
 
 
-def read_metric(path: str | Path) -> Metric:
-    return loads_metric(Path(path).read_text())
-
-
-def write_metric(d: Metric, path: str | Path) -> None:
-    Path(path).write_text(dumps_metric(d))
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
 
-def graph_to_json(g: SimpleGraph) -> dict[str, Any]:
-    return {"n": g.n, "edges": [[i, j] for i, j in g.edges]}
+def dumps_graph(g: SimpleGraph) -> str:
+    return dumps_json({"n": g.n, "edges": [[i, j] for i, j in g.edges]})
 
 
 def graph_from_json(obj: Any) -> SimpleGraph:
@@ -263,24 +257,12 @@ def graph_from_json(obj: Any) -> SimpleGraph:
     raise ValueError("graph document needs an 'edges' or 'adjacency' field")
 
 
-def dumps_graph(g: SimpleGraph) -> str:
-    return dumps_json(graph_to_json(g))
-
-
 def loads_graph(text: str) -> SimpleGraph:
     return graph_from_json(loads_json(text))
 
 
-def read_graph(path: str | Path) -> SimpleGraph:
-    return loads_graph(Path(path).read_text())
-
-
-def write_graph(g: SimpleGraph, path: str | Path) -> None:
-    Path(path).write_text(dumps_graph(g))
-
-
 # ---------------------------------------------------------------------------
-# cut certificates
+# cone certificates: cut decompositions (members), Farkas vectors
 
 
 class _Members(dict):
@@ -364,56 +346,24 @@ def certificate_from_json(obj: Any) -> CutCertificate:
     return CutCertificate(n=n, cuts=tuple(cuts), weights=tuple(weights))
 
 
-def dumps_certificate(cert: CutCertificate) -> str:
-    return dumps_json(certificate_to_json(cert))
-
-
 def loads_certificate(text: str) -> CutCertificate:
     return certificate_from_json(loads_json(text))
 
 
-def read_certificate(path: str | Path) -> CutCertificate:
-    return loads_certificate(Path(path).read_text())
-
-
-def write_certificate(cert: CutCertificate, path: str | Path) -> None:
-    Path(path).write_text(dumps_certificate(cert))
+def farkas_to_json(n: int, y: Iterable[RationalLike]) -> dict[str, Any]:
+    """A Farkas vector over the pairs of n vertices, as string tokens."""
+    return {"n": n, "farkas": [format_rational(x) for x in y]}
 
 
 # ---------------------------------------------------------------------------
 # point sets
 
 
-def points_to_json(points: PointSet) -> dict[str, Any]:
-    return {
+def dumps_points(points: PointSet) -> str:
+    return dumps_json({
         "norm": points.norm,
         "points": [[rational_to_json(x) for x in p] for p in points.points],
-    }
-
-
-def points_from_json(obj: Any) -> PointSet:
-    if not isinstance(obj, dict):
-        raise ValueError("point-set document must be a JSON object")
-    norm = obj.get("norm")
-    pts = obj.get("points")
-    if not isinstance(pts, list):
-        raise ValueError("field 'points' must be a list of coordinate lists")
-    parsed = []
-    for p in pts:
-        if not isinstance(p, list):
-            raise ValueError(f"points must be coordinate lists, got {p!r}")
-        parsed.append(tuple(parse_rational(x) for x in p))
-    if not isinstance(norm, str):
-        raise ValueError("field 'norm' must be a string")
-    return PointSet(norm=norm, points=tuple(parsed))
-
-
-def dumps_points(points: PointSet) -> str:
-    return dumps_json(points_to_json(points))
-
-
-def loads_points(text: str) -> PointSet:
-    return points_from_json(loads_json(text))
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +375,3 @@ def matrix_to_text(matrix: RationalMatrix) -> str:
     return "\n".join(
         " ".join(format_rational(x) for x in row) for row in matrix.entries
     ) + "\n"
-
-
-def matrix_from_text(text: str) -> RationalMatrix:
-    rows = [
-        [parse_rational(tok) for tok in line.split()]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    return RationalMatrix.from_rows(rows)

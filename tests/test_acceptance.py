@@ -18,7 +18,6 @@ from cutcones.cut_algebra import (
     full_cut_matrix,
     incidence_matrix,
     inverse_square_cut_matrix,
-    matrix_rank,
     projectors,
     square_cut_matrix,
 )
@@ -61,6 +60,7 @@ from cutcones.sig import (
 )
 
 from conftest import FIGURE_EIGHT_EDGES
+from exact_rank import matrix_rank
 
 F = Fraction
 

@@ -14,6 +14,7 @@ from cutcones import io as cio
 from cutcones import oracle
 from cutcones.cli import EXIT_INTERNAL, main
 from cutcones.cut_algebra import Cut, cut_metric_vector
+from cutcones.embeddings import PointSet
 from cutcones.fullcut import CutCertificate, sufficient_condition
 from cutcones.metric import Metric
 from cutcones.paircut import paircut_membership
@@ -43,13 +44,12 @@ def write(tmp_path):
     def _write(obj):
         path = tmp_path / f"input{next(counter)}.json"
         if isinstance(obj, Metric):
-            cio.write_metric(obj, path)
+            obj = cio.dumps_metric(obj)
         elif isinstance(obj, SimpleGraph):
-            cio.write_graph(obj, path)
+            obj = cio.dumps_graph(obj)
         elif isinstance(obj, CutCertificate):
-            cio.write_certificate(obj, path)
-        else:
-            path.write_text(obj)
+            obj = cio.dumps_json(cio.certificate_to_json(obj))
+        path.write_text(obj)
         return str(path)
 
     return _write
@@ -62,6 +62,11 @@ def path_certificate():
         cuts=tuple(Cut.from_members(5, m) for m in members),
         weights=(F(1, 2),) * 6,
     )
+
+
+def load_points(text):
+    doc = json.loads(text)
+    return PointSet(doc["norm"], tuple(tuple(map(cio.parse_rational, p)) for p in doc["points"]))
 
 
 def pair_cut_metric(n, *pairs_with_weights):
@@ -458,7 +463,7 @@ def test_embed_l1_with_verification(cli, write):
     metric_path = write(truncated_metric(path_graph(5)))
     code, out, _ = cli("embed", "l1", "--cert", cert_path, "--metric", metric_path)
     assert code == 0
-    points = cio.loads_points(out)
+    points = load_points(out)
     assert points.norm == "l1" and points.dimension == 6
 
 
@@ -476,7 +481,7 @@ def test_embed_l1_mismatch_fails(cli, write):
 def test_embed_linf_sig(cli, write, figure_eight, figure_eight_d0):
     code, out, _ = cli("embed", "linf-sig", "--graph", write(figure_eight))
     assert code == 0
-    points = cio.loads_points(out)
+    points = load_points(out)
     assert points.norm == "linf" and points.dimension == 6
     from cutcones.embeddings import verify_isometry
 
@@ -567,7 +572,7 @@ def test_family_gen_output_file(cli, tmp_path):
     path = tmp_path / "graph.json"
     code, out, _ = cli("family", "gen", "CP", "3", "-o", str(path))
     assert code == 0 and out == ""
-    assert len(cio.read_graph(path).edges) == 12
+    assert len(cio.loads_graph(path.read_text()).edges) == 12
 
 
 def test_family_gen_errors(cli):
@@ -731,6 +736,9 @@ LAYOUT_COMMANDS = {
     ),
     "verify-cert": ("verify-cert", "--format", "json", "--cert", "{cert}", "--metric", "{member}"),
     "paircut": ("paircut", "--format", "json", "--metric", "{non_member}"),
+    "paircut-closed-form-farkas": (
+        "paircut", "--format", "json", "--metric", "{non_member}", "--emit-farkas", "{out}",
+    ),
     "paircut-exact": (
         "paircut", "exact", "--format", "json", "--metric", "{non_member}",
         "--emit-farkas", "{out}",

@@ -1,6 +1,7 @@
 """Cuts, cut enumerations, and the exact matrix constructions."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,14 @@ from cutcones.cut_algebra import (
     full_cut_matrix,
     incidence_matrix,
     inverse_square_cut_matrix,
-    matrix_rank,
     pair_cut,
     projectors,
     square_cut_matrix,
 )
 from cutcones import cut_algebra
 from cutcones.metric import num_pairs, split_pairs, vertex_pairs
+
+from exact_rank import matrix_rank
 
 F = Fraction
 
@@ -49,6 +51,20 @@ def test_cut_rejects_out_of_range():
         Cut.from_members(4, [0])
     with pytest.raises(ValueError):
         Cut(3, 1 << 3)
+    with pytest.raises(ValueError):
+        Cut(3, -1)
+    assert Cut(3, (1 << 3) - 1).is_trivial
+
+
+def test_cut_range_check_builds_no_n_bit_int():
+    # a mask of 1 on 10^8 vertices: 1 << n alone would be 12.5 MB
+    tracemalloc.start()
+    try:
+        Cut(10**8, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cut_complement_and_triviality():

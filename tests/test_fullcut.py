@@ -7,12 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from cutcones.cut_algebra import (
-    Cut,
-    cut_metric_vector,
-    enumerate_cuts,
-    matrix_rank,
-)
+from cutcones.cut_algebra import Cut, cut_metric_vector, enumerate_cuts
 from cutcones.fullcut import (
     CutCertificate,
     _cut_rank,
@@ -31,6 +26,7 @@ from cutcones.oracle import random_cut_combination, random_semimetric
 from cutcones.sig import cocktail_party_graph, path_graph, truncated_metric, hypercube_graph
 
 from conftest import metric_of_ints
+from exact_rank import matrix_rank
 
 F = Fraction
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from cutcones import io as cio
-from cutcones.cut_algebra import Cut, square_cut_matrix
+from cutcones.cut_algebra import Cut, RationalMatrix, square_cut_matrix
 from cutcones.embeddings import linf_sig_embedding
 from cutcones.fullcut import CutCertificate
 from cutcones.io import (
@@ -15,27 +15,21 @@ from cutcones.io import (
     MAX_TOKEN_DIGITS,
     certificate_from_json,
     certificate_to_json,
-    dumps_certificate,
     dumps_graph,
     dumps_json,
     dumps_metric,
     dumps_points,
+    farkas_to_json,
     format_rational,
     graph_from_json,
     loads_certificate,
     loads_graph,
     loads_json,
     loads_metric,
-    loads_points,
-    matrix_from_text,
     matrix_to_text,
     metric_from_json,
     parse_rational,
-    points_from_json,
     rational_to_json,
-    read_metric,
-    write_graph,
-    write_metric,
 )
 from cutcones.metric import Metric
 from cutcones.sig import SimpleGraph, cycle_graph, star_graph
@@ -206,8 +200,8 @@ def test_loads_metric_scientific_notation_is_exact():
 def test_metric_file_round_trip(tmp_path):
     d = metric_of_ints(4, [1, 2, 1, 1, 2, 1])
     path = tmp_path / "metric.json"
-    write_metric(d, path)
-    assert read_metric(path).d == d.d
+    path.write_text(dumps_metric(d))
+    assert loads_metric(path.read_text()).d == d.d
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +262,7 @@ def test_graph_document_errors():
 def test_graph_file_round_trip(tmp_path):
     g = star_graph(4)
     path = tmp_path / "graph.json"
-    write_graph(g, path)
+    path.write_text(dumps_graph(g))
     assert loads_graph(path.read_text()).edges == g.edges
 
 
@@ -282,7 +276,7 @@ def test_certificate_round_trip():
         cuts=(Cut.from_members(4, (1,)), Cut.from_members(4, (2, 3))),
         weights=(F(1, 2), F(7)),
     )
-    again = loads_certificate(dumps_certificate(cert))
+    again = loads_certificate(dumps_json(certificate_to_json(cert)))
     assert again == cert
 
 
@@ -333,7 +327,21 @@ def test_certificate_document_errors():
     with pytest.raises(ValueError):
         certificate_from_json({"n": 4, "cuts": [{"members": [5], "weight": 1}]})
     with pytest.raises(ValueError):
+        certificate_from_json({"n": 4, "cuts": [{"members": [0], "weight": 1}]})
+    with pytest.raises(ValueError):
+        certificate_from_json({"n": 4, "cuts": [{"mask": -1, "weight": 1}]})
+    with pytest.raises(ValueError):
         certificate_from_json({"n": 4, "cuts": {"mask": 1}})
+
+
+# ---------------------------------------------------------------------------
+# Farkas vectors
+
+
+def test_farkas_document_uses_string_tokens():
+    want = {"n": 3, "farkas": ["1", "-1/2", "0"]}
+    assert farkas_to_json(3, [1, F(-1, 2), 0]) == want
+    assert farkas_to_json(3, [F(1), F(-1, 2), F(0)]) == want
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +350,9 @@ def test_certificate_document_errors():
 
 def test_points_round_trip_bit_exact():
     ps = linf_sig_embedding(star_graph(3))
-    again = loads_points(dumps_points(ps))
-    assert again == ps
-
-
-def test_points_document_errors():
-    with pytest.raises(ValueError):
-        points_from_json({"points": [["1"]]})
-    with pytest.raises(ValueError):
-        points_from_json({"norm": "l1", "points": [["1"], ["1", "2"]]})
-    with pytest.raises(ValueError):
-        points_from_json({"norm": "l1", "points": "11"})
-    with pytest.raises(ValueError):
-        points_from_json({"norm": "l1", "points": [[1.5]]})
+    doc = loads_json(dumps_points(ps))
+    assert doc["norm"] == ps.norm
+    assert [[parse_rational(x) for x in p] for p in doc["points"]] == [list(p) for p in ps.points]
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +361,13 @@ def test_points_document_errors():
 
 def test_matrix_text_round_trip():
     m = square_cut_matrix(4)
-    assert matrix_from_text(matrix_to_text(m)).entries == m.entries
+    rows = [[parse_rational(tok) for tok in line.split()] for line in matrix_to_text(m).splitlines()]
+    assert rows == [list(row) for row in m.entries]
 
 
 def test_matrix_text_fractional_entries():
-    text = "1/2 -3\n0 1/6\n"
-    m = matrix_from_text(text)
-    assert m.entries == ((F(1, 2), F(-3)), (F(0), F(1, 6)))
-    assert matrix_to_text(m) == text
-
-
-def test_matrix_text_skips_blank_lines():
-    m = matrix_from_text("1 2\n\n3 4\n   \n")
-    assert m.entries == ((F(1), F(2)), (F(3), F(4)))
-
-
-def test_matrix_text_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        matrix_from_text("1 2\n3\n")
+    m = RationalMatrix.from_rows([[F(1, 2), F(-3)], [F(0), F(1, 6)]])
+    assert matrix_to_text(m) == "1/2 -3\n0 1/6\n"
 
 
 # ---------------------------------------------------------------------------
