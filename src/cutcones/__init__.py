@@ -4,7 +4,9 @@ Decides membership in the pair-cut cone by a closed form (n >= 5),
 tests a sufficient condition for the full cut cone, certifies both
 with an exact LP oracle, produces l1 and max-norm embeddings, spans
 the kernel of the cut-matrix, and builds sphere-of-influence graphs.
-Every verdict is computed over Fractions; nothing rounds.
+Every verdict is exact: each layer computes in integers over one
+common denominator and builds Fractions only for its results; nothing
+rounds.
 """
 
 from cutcones.cut_algebra import (

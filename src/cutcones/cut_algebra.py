@@ -219,7 +219,11 @@ def cut_metric_vector(cut: Cut) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of Fractions, row-major."""
+    """Dense matrix of Fractions, row-major: the data type the matrix
+    builders below return, and what lp_feasibility and
+    io.matrix_to_text read.  It has read accessors and no arithmetic:
+    each builder writes its matrix down entry by entry.
+    """
 
     rows: int
     cols: int
@@ -239,20 +243,6 @@ class RationalMatrix:
             raise ValueError("matrix needs at least one row")
         return cls(len(data), len(data[0]), data)
 
-    @classmethod
-    def identity(cls, k: int) -> "RationalMatrix":
-        return cls(
-            k, k,
-            tuple(
-                tuple(_ONE if i == j else _ZERO for j in range(k))
-                for i in range(k)
-            ),
-        )
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, ((_ONE,) * cols,) * rows)
-
     def entry(self, r: int, c: int) -> Fraction:
         return self.entries[r][c]
 
@@ -266,68 +256,6 @@ class RationalMatrix:
         return RationalMatrix(
             self.cols, self.rows, tuple(zip(*self.entries))
         )
-
-    def scale(self, factor: Fraction | int) -> "RationalMatrix":
-        f = Fraction(factor)
-        return RationalMatrix(
-            self.rows, self.cols,
-            tuple(tuple(f * x for x in row) for row in self.entries),
-        )
-
-    def add(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_shape(other)
-        return RationalMatrix(
-            self.rows, self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def sub(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_shape(other)
-        return RationalMatrix(
-            self.rows, self.cols,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Exact product, each dot product summed in integers."""
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        rows = [integer_entries(row) for row in self.entries]
-        cols = [integer_entries(col) for col in other.transpose().entries]
-        return RationalMatrix(
-            self.rows, other.cols,
-            tuple(
-                tuple(Fraction(sum(map(operator.mul, a, b)), qa * qb) for qb, b in cols)
-                for qa, a in rows
-            ),
-        )
-
-    def mul_vector(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} != column count {self.cols}")
-        return tuple(_dot(row, vec) for row in self.entries)
-
-    def _check_shape(self, other: "RationalMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    total = _ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            total += x * y
-    return total
 
 
 # ---------------------------------------------------------------------------

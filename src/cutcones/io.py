@@ -117,10 +117,14 @@ def _reject_constant(token: str) -> Any:
 
 def loads_json(text: str) -> Any:
     """json.loads with decimals size-checked and parsed exactly, and
-    NaN/Infinity rejected."""
-    return json.loads(
-        text, parse_float=parse_rational, parse_constant=_reject_constant
-    )
+    NaN/Infinity rejected.  Nesting deeper than the parser's recursion
+    limit is an input error (ValueError), not an internal one."""
+    try:
+        return json.loads(
+            text, parse_float=parse_rational, parse_constant=_reject_constant
+        )
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
 
 
 # Items of these exact types are encoded by the C encoder in one call.

@@ -1,12 +1,45 @@
-"""Exact matrix rank over the rationals, for tests that check a rank:
-the kernel basis dimension and the eigenprojector ranks."""
+"""Exact linear algebra for the tests: the rank over the rationals
+(the kernel basis dimension and the eigenprojector ranks), and matrices
+cleared to integer numpy arrays for checking the matrix identities.
+
+The arrays hold Python ints (dtype object), so every product is exact
+and cannot overflow; over ints they are also far faster than arrays of
+Fractions.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
+from cutcones.cut_algebra import RationalMatrix
 from cutcones.metric import integer_entries
+
+
+def integer_arrays(*matrices: RationalMatrix) -> tuple:
+    """(q, q * M_1, ..., q * M_k): the common denominator q of all the
+    matrices' entries and each matrix times q as an array of ints.
+
+    An identity of rational matrices then reads over ints with every
+    term scaled to the same power of q: P^2 = P is p @ p == q * p.
+    """
+    den, flat = integer_entries(x for a in matrices for row in a.entries for x in row)
+    arrays = []
+    start = 0
+    for a in matrices:
+        stop = start + a.rows * a.cols
+        arrays.append(np.array(flat[start:stop], dtype=object).reshape(a.rows, a.cols))
+        start = stop
+    return (den, *arrays)
+
+
+def times(matrix: RationalMatrix, vector: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """The exact product of matrix and vector, as Fractions."""
+    q, a = integer_arrays(matrix)
+    r, v = integer_entries(vector)
+    return tuple(Fraction(x, q * r) for x in a @ np.array(v, dtype=object))
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

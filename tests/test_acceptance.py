@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from cutcones.cut_algebra import (
-    RationalMatrix,
     Cut,
     full_cut_matrix,
     incidence_matrix,
@@ -60,7 +59,7 @@ from cutcones.sig import (
 )
 
 from conftest import FIGURE_EIGHT_EDGES
-from exact_rank import matrix_rank
+from exact_rank import integer_arrays, matrix_rank
 
 F = Fraction
 
@@ -125,18 +124,18 @@ def test_acceptance_02_spectral_suite():
         if np.max(np.abs(spectrum - expected)) > 1e-9:
             failures.append(f"n={n} spectrum")
             continue
-        p_low, p_mid, p_top = projectors(n)
-        ident = RationalMatrix.identity(m)
-        if any(p.mul(p) != p for p in (p_low, p_mid, p_top)):
-            failures.append(f"n={n} idempotence")
-        if p_low.add(p_mid).add(p_top) != ident:
-            failures.append(f"n={n} resolution of identity")
-        recombined = (
-            p_low.scale(-2).add(p_mid.scale(n - 4)).add(p_top.scale(2 * n - 4))
+        # each array is q times its matrix: P^2 = P reads p @ p == q * p
+        q, p_low, p_mid, p_top, qa, inv = integer_arrays(
+            *projectors(n), a, inverse_square_cut_matrix(n)
         )
-        if recombined != a:
+        ident = np.identity(m, dtype=object)
+        if any((p @ p != q * p).any() for p in (p_low, p_mid, p_top)):
+            failures.append(f"n={n} idempotence")
+        if (p_low + p_mid + p_top != q * ident).any():
+            failures.append(f"n={n} resolution of identity")
+        if (-2 * p_low + (n - 4) * p_mid + (2 * n - 4) * p_top != qa).any():
             failures.append(f"n={n} spectral decomposition")
-        if a.mul(inverse_square_cut_matrix(n)) != ident:
+        if (qa @ inv != q * q * ident).any():
             failures.append(f"n={n} inverse")
     report(2, not failures, failures or "eigenvalues and exact projector algebra, n=5..8")
 
@@ -145,24 +144,21 @@ def test_acceptance_03_matrix_identities():
     failures = []
     for n in range(4, 8):
         m = num_pairs(n)
-        a = square_cut_matrix(n)
-        b = incidence_matrix(n)
-        s = full_cut_matrix(n)
-        i_m = RationalMatrix.identity(m)
-        if b.transpose().mul(b) != i_m.scale(2).add(a):
-            failures.append(f"n={n} BtB")
-        if b.mul(b.transpose()) != RationalMatrix.identity(n).scale(n - 2).add(
-            RationalMatrix.ones(n, n)
-        ):
-            failures.append(f"n={n} BBt")
-        gram_expected = i_m.add(RationalMatrix.ones(m, m)).scale(2 ** (n - 2))
-        if s.mul(s.transpose()) != gram_expected:
-            failures.append(f"n={n} SSt")
-        gram_inverse = i_m.sub(RationalMatrix.ones(m, m).scale(F(1, m + 1))).scale(
-            F(1, 2 ** (n - 2))
+        _, a, b, s = integer_arrays(
+            square_cut_matrix(n), incidence_matrix(n), full_cut_matrix(n)
         )
-        s_r = s.transpose().mul(gram_inverse)
-        if s.mul(s_r) != i_m:
+        i_m = np.identity(m, dtype=object)
+        j_m = np.ones((m, m), dtype=object)
+        if (b.T @ b != 2 * i_m + a).any():
+            failures.append(f"n={n} BtB")
+        i_n = np.identity(n, dtype=object)
+        if (b @ b.T != (n - 2) * i_n + np.ones((n, n), dtype=object)).any():
+            failures.append(f"n={n} BBt")
+        gram = s @ s.T
+        if (gram != 2 ** (n - 2) * (i_m + j_m)).any():
+            failures.append(f"n={n} SSt")
+        # S^T ((m+1)I - J) / ((m+1) 2^(n-2)) is a right inverse of S
+        if (gram @ ((m + 1) * i_m - j_m) != (m + 1) * 2 ** (n - 2) * i_m).any():
             failures.append(f"n={n} right inverse")
     report(3, not failures, failures or "incidence/gram/right-inverse identities, n=4..7")
 

@@ -104,6 +104,12 @@ def test_validate_strict_flags_zeros(cli, write):
     assert "strict metric" in out
 
 
+def test_validate_text_reports_negative_entry(cli, write):
+    code, out, _ = cli("validate", "--metric", write(metric_of_ints(3, [-1, 1, 1])))
+    assert code == 1
+    assert "  negative entry d(1,2) = -1\n" in out
+
+
 def test_validate_json_document(cli, write):
     d = Metric(5, cut_metric_vector(Cut.from_members(5, (2, 4))))
     code, out, _ = cli("validate", "--format", "json", "--strict", "--metric", write(d))
@@ -232,6 +238,13 @@ def test_paircut_exact_rejects_over_cap(cli, write, figure_eight_d0):
     )
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [("cutcone", "exact"), ("paircut", "exact"), ("paircut",)])
+def test_two_vertex_metric_is_rejected(cli, write, argv):
+    code, out, err = cli(*argv, "--metric", write('{"n": 2, "d": [1]}'))
+    assert code == 3 and out == ""
+    assert err == "error: need at least 3 vertices, got n=2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +421,9 @@ def test_verify_cert_reports_negative_weights(cli, write):
     doc = json.loads(out)
     assert doc["valid"] is False
     assert doc["negative_weights"] == [{"members": [1], "weight": "-1/2"}]
+    code, out, _ = cli("verify-cert", "--cert", write(cert), "--metric", write(d))
+    assert code == 1
+    assert "  negative weight -1/2 on cut {1}\n" in out
 
 
 @pytest.mark.parametrize("members", ['["1"]', "[1.5]", "[true]"], ids=["string", "decimal", "bool"])
@@ -579,6 +595,8 @@ def test_family_gen_errors(cli):
     assert cli("family", "gen", "C", "2")[0] == 3
     assert cli("family", "gen", "X", "3")[0] == 3
     assert cli("family", "gen", "K")[0] == 3
+    for argv in (("K", "0"), ("Q", "0"), ("B", "0", "1"), ("CP", "1"), ("S", "0")):
+        assert cli("family", "gen", *argv)[0] == 3
 
 
 def test_family_piped_into_paircut(cli):
@@ -614,6 +632,11 @@ def test_matrix_dump_json_shapes(cli):
 
 def test_matrix_dump_inverse_rejects_n4(cli):
     code, _, err = cli("matrix", "dump", "inverse", "--n", "4")
+    assert code == 3 and err.startswith("error:")
+
+
+def test_matrix_dump_incidence_rejects_n2(cli):
+    code, _, err = cli("matrix", "dump", "incidence", "--n", "2")
     assert code == 3 and err.startswith("error:")
 
 
@@ -665,11 +688,12 @@ def test_oversized_decimal_is_rejected_before_it_is_built(cli, write):
         assert code == 3 and "exponent" in err
 
 
-def test_deeply_nested_json_is_an_internal_error(cli, write):
+def test_deeply_nested_json_is_an_input_error(cli, write):
     path = write("[" * 200_000 + "]" * 200_000)
     code, out, err = cli("validate", "--metric", path)
-    assert code == EXIT_INTERNAL == 4
-    assert out == "" and err.startswith("internal error:")
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cutcones.cut_algebra import (
@@ -23,7 +24,7 @@ from cutcones.cut_algebra import (
 from cutcones import cut_algebra
 from cutcones.metric import num_pairs, split_pairs, vertex_pairs
 
-from exact_rank import matrix_rank
+from exact_rank import integer_arrays, matrix_rank, times
 
 F = Fraction
 
@@ -254,26 +255,27 @@ def test_combine_cuts_rejects_out_of_range_masks_on_both_paths(n):
 
 def test_matrix_basic_operations():
     a = RationalMatrix.from_rows([[F(1), F(2)], [F(3), F(4)]])
-    b = RationalMatrix.identity(2)
-    assert a.add(b).entry(0, 0) == 2
-    assert a.sub(b).entry(1, 1) == 3
-    assert a.scale(F(1, 2)).entry(0, 1) == 1
+    assert (a.rows, a.cols) == (2, 2)
+    assert a.entry(1, 0) == 3
     assert a.transpose().row(0) == (F(1), F(3))
-    assert a.mul(b).entries == a.entries
-    assert a.mul_vector([F(1), F(1)]) == (F(3), F(7))
     assert a.column(1) == (F(2), F(4))
-    assert RationalMatrix.ones(2, 3).row(1) == (F(1), F(1), F(1))
 
 
 def test_matrix_shape_errors():
-    a = RationalMatrix.from_rows([[F(1), F(2)]])
-    b = RationalMatrix.identity(2)
-    with pytest.raises(ValueError):
-        a.add(b)
-    with pytest.raises(ValueError):
-        b.mul(RationalMatrix.from_rows([[F(1)]]))
-    with pytest.raises(ValueError):
-        a.mul_vector([F(1)])
+    with pytest.raises(ValueError, match="expected 3 rows"):
+        RationalMatrix(3, 2, ((F(1), F(2)),))
+    with pytest.raises(ValueError, match="expected 2 columns"):
+        RationalMatrix.from_rows([[F(1), F(2)], [F(3)]])
+    with pytest.raises(ValueError, match="at least one row"):
+        RationalMatrix.from_rows([])
+
+
+def test_integer_arrays_share_one_denominator():
+    a = RationalMatrix.from_rows([[F(1, 2), F(1)], [F(3), F(-1, 3)]])
+    q, scaled, ones = integer_arrays(a, RationalMatrix.from_rows([[F(1)]]))
+    assert q == 6 and scaled.dtype == object and ones.tolist() == [[6]]
+    assert scaled.tolist() == [[3, 6], [18, -2]]
+    assert times(a, [F(1), F(2, 5)]) == (F(9, 10), F(43, 15))
 
 
 def test_matrix_rank_examples():
@@ -356,23 +358,19 @@ def test_incidence_matrix_three_points():
 
 def test_incidence_identities():
     for n in range(4, 8):
-        b = incidence_matrix(n)
-        m = num_pairs(n)
-        a = square_cut_matrix(n)
-        gram = b.transpose().mul(b)
-        assert gram.entries == RationalMatrix.identity(m).scale(2).add(a).entries
-        outer = b.mul(b.transpose())
-        expected = RationalMatrix.identity(n).scale(n - 2).add(
-            RationalMatrix.ones(n, n)
-        )
-        assert outer.entries == expected.entries
+        _, b, a = integer_arrays(incidence_matrix(n), square_cut_matrix(n))
+        eye_m = np.identity(num_pairs(n), dtype=object)
+        assert (b.T @ b == 2 * eye_m + a).all()
+        ones = np.ones((n, n), dtype=object)
+        assert (b @ b.T == (n - 2) * np.identity(n, dtype=object) + ones).all()
 
 
 def test_incidence_outer_product_five_points():
-    outer = incidence_matrix(5).mul(incidence_matrix(5).transpose())
+    _, b = integer_arrays(incidence_matrix(5))
+    outer = b @ b.T
     for i in range(5):
         for j in range(5):
-            assert outer.entry(i, j) == (4 if i == j else 1)
+            assert outer[i, j] == (4 if i == j else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +386,16 @@ def test_projector_ranks_five_points():
 
 def test_projector_algebra():
     for n in range(5, 11):
-        p_low, p_mid, p_top = projectors(n)
-        m = num_pairs(n)
-        eye = RationalMatrix.identity(m)
-        zero = RationalMatrix.ones(m, m).scale(0)
+        # each array is q times its matrix, so P^2 = P reads p @ p == q * p
+        q, p_low, p_mid, p_top, a = integer_arrays(*projectors(n), square_cut_matrix(n))
         for p in (p_low, p_mid, p_top):
-            assert p.mul(p).entries == p.entries
-            assert p.transpose().entries == p.entries
-        assert p_low.mul(p_mid).entries == zero.entries
-        assert p_low.mul(p_top).entries == zero.entries
-        assert p_mid.mul(p_top).entries == zero.entries
-        assert p_low.add(p_mid).add(p_top).entries == eye.entries
-        spectral = (
-            p_low.scale(-2)
-            .add(p_mid.scale(n - 4))
-            .add(p_top.scale(2 * n - 4))
-        )
-        assert spectral.entries == square_cut_matrix(n).entries
+            assert (p @ p == q * p).all()
+            assert (p.T == p).all()
+        assert (p_low @ p_mid == 0).all()
+        assert (p_low @ p_top == 0).all()
+        assert (p_mid @ p_top == 0).all()
+        assert (p_low + p_mid + p_top == q * np.identity(num_pairs(n), dtype=object)).all()
+        assert (-2 * p_low + (n - 4) * p_mid + (2 * n - 4) * p_top == a).all()
 
 
 def test_projectors_reject_degenerate_size():
@@ -414,15 +405,13 @@ def test_projectors_reject_degenerate_size():
 
 def test_inverse_square_cut_matrix():
     for n in range(5, 11):
-        a = square_cut_matrix(n)
-        inv = inverse_square_cut_matrix(n)
-        assert a.mul(inv).entries == RationalMatrix.identity(num_pairs(n)).entries
+        q, a, inv = integer_arrays(square_cut_matrix(n), inverse_square_cut_matrix(n))
+        assert (a @ inv == q * q * np.identity(num_pairs(n), dtype=object)).all()
 
 
 def test_inverse_on_all_ones_vector():
     inv = inverse_square_cut_matrix(6)
-    ones = [F(1)] * 15
-    assert inv.mul_vector(ones) == (F(1, 8),) * 15
+    assert times(inv, [F(1)] * 15) == (F(1, 8),) * 15
 
 
 def test_inverse_rejects_four_points():
@@ -435,25 +424,20 @@ def test_inverse_rejects_four_points():
 
 
 def test_full_cut_matrix_gram_four_points():
-    s = full_cut_matrix(4)
-    assert (s.rows, s.cols) == (6, 14)
-    gram = s.mul(s.transpose())
+    _, s = integer_arrays(full_cut_matrix(4))
+    assert s.shape == (6, 14)
+    gram = s @ s.T
     for i in range(6):
         for j in range(6):
-            assert gram.entry(i, j) == (8 if i == j else 4)
+            assert gram[i, j] == (8 if i == j else 4)
 
 
 def test_full_cut_matrix_gram_identity():
     for n in (5, 6):
-        s = full_cut_matrix(n)
+        _, s = integer_arrays(full_cut_matrix(n))
         m = num_pairs(n)
-        gram = s.mul(s.transpose())
-        expected = (
-            RationalMatrix.identity(m)
-            .add(RationalMatrix.ones(m, m))
-            .scale(F(2 ** (n - 2)))
-        )
-        assert gram.entries == expected.entries
+        expected = 2 ** (n - 2) * (np.identity(m, dtype=object) + np.ones((m, m), dtype=object))
+        assert (s @ s.T == expected).all()
 
 
 def test_full_cut_matrix_complement_columns():

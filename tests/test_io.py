@@ -245,12 +245,20 @@ def test_graph_adjacency_rejections():
         graph_from_json({"n": 3, "adjacency": two})
     with pytest.raises(ValueError):
         graph_from_json({"n": 3, "adjacency": base[:2]})
+    with pytest.raises(ValueError, match="adjacency must be an 2x2"):
+        graph_from_json({"n": 2, "adjacency": [[0, 1], [1]]})
     # entries must be JSON ints, as edge endpoints are: 1.0 reads as Fraction(1)
     with pytest.raises(ValueError, match="must be 0 or 1"):
         loads_graph('{"n": 2, "adjacency": [[0, 1.0], [1.0, 0]]}')
 
 
 def test_graph_document_errors():
+    with pytest.raises(ValueError, match="graph document must be a JSON object"):
+        loads_graph("[]")
+    with pytest.raises(ValueError, match="field 'edges' must be a list of pairs"):
+        graph_from_json({"n": 3, "edges": 5})
+    with pytest.raises(ValueError, match="need at least 1 vertex"):
+        graph_from_json({"n": 0, "edges": []})
     with pytest.raises(ValueError):
         graph_from_json({"n": 3})
     with pytest.raises(ValueError):
@@ -316,6 +324,8 @@ def test_certificate_to_json_lists_every_cut_member(n):
 
 
 def test_certificate_document_errors():
+    with pytest.raises(ValueError, match="certificate document must be a JSON object"):
+        loads_certificate("[]")
     with pytest.raises(ValueError):
         certificate_from_json({"n": 4, "cuts": [{"members": [1, 3]}]})
     with pytest.raises(ValueError):

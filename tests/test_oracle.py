@@ -44,6 +44,7 @@ from cutcones.sig import (
 )
 
 from conftest import metric_of_ints
+from exact_rank import times
 from reference_simplex import reference_phase_one
 
 F = Fraction
@@ -51,7 +52,7 @@ F = Fraction
 
 def check_witness(matrix: RationalMatrix, rhs, witness):
     assert all(w >= 0 for w in witness)
-    assert matrix.mul_vector(witness) == tuple(rhs)
+    assert times(matrix, witness) == tuple(rhs)
 
 
 def check_farkas(matrix: RationalMatrix, rhs, farkas):
@@ -99,20 +100,20 @@ def test_non_integer_rational_matrix():
             [F(0), F(-1, 6), F(3, 7)],
         ]
     )
-    member = matrix.mul_vector((F(2), F(3, 2), F(1, 3)))
+    member = times(matrix, (F(2), F(3, 2), F(1, 3)))
     result = lp_feasibility(matrix, member)
     assert result.feasible
     # the matrix is invertible, so the witness is the unique solution
     assert result.witness == (F(2), F(3, 2), F(1, 3))
 
-    outside = matrix.mul_vector((F(1), F(-1, 2), F(1, 5)))
+    outside = times(matrix, (F(1), F(-1, 2), F(1, 5)))
     result = lp_feasibility(matrix, outside)
     assert not result.feasible
     check_farkas(matrix, outside, result.farkas)
 
 
 def test_dimension_mismatch_rejected():
-    matrix = RationalMatrix.identity(3)
+    matrix = square_cut_matrix(3)
     with pytest.raises(ValueError):
         lp_feasibility(matrix, (F(1), F(2)))
 
@@ -514,7 +515,7 @@ def test_general_column_rechecks_reject_bad_certificates():
     assert scale == 420
 
     # d = (2, 7/10, 5/2) has s_b = 10, so the factor scale / s_b is 42
-    member = matrix.mul_vector((F(2), F(3), F(7)))
+    member = times(matrix, (F(2), F(3), F(7)))
     w = lp_feasibility(matrix, member).witness
     oracle._check_witness(columns, scale, member, w)
     # the witness of the integer system, without the scale / s_b factor
@@ -524,7 +525,7 @@ def test_general_column_rechecks_reject_bad_certificates():
         oracle._check_witness(columns, scale, member, [x / factor for x in w])
     # an exact solution with one negative entry is not in the cone
     signed = (F(1), F(-1, 2), F(1, 5))
-    outside = matrix.mul_vector(signed)
+    outside = times(matrix, signed)
     with pytest.raises(RuntimeError):
         oracle._check_witness(columns, scale, outside, signed)
 
@@ -606,7 +607,7 @@ def test_paircut_exact_equals_the_dense_oracle():
             random_semimetric(n, rng),
             random_semimetric(n, rng, low=1, high=3, denom=7),
             # signed pair-cut weights: members and non-members alike
-            Metric(n, matrix.mul_vector([F(rng.randint(-1, 6), 2) for _ in range(m)])),
+            Metric(n, times(matrix, [F(rng.randint(-1, 6), 2) for _ in range(m)])),
             # any rational entries, some negative
             Metric(n, tuple(F(rng.randint(-6, 12), rng.randint(1, 5)) for _ in range(m))),
         ]
