@@ -237,8 +237,7 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
         "member": result.feasible,
     }
     if result.feasible:
-        # the oracle has applied the --max-n cap to this very n
-        cert = fullcut.certificate_from_weights(d.n, result.witness, max_n=d.n)
+        cert = fullcut.certificate_from_weights(d.n, result.witness)
         lines = _certificate_verdict(args, cert, "member of the cut cone", doc)
     else:
         lines = _farkas_verdict(args, d.n, result.farkas, "cut cone", doc)

@@ -103,24 +103,26 @@ def pair_cut(n: int, i: int, j: int) -> Cut:
     return Cut.from_members(n, (i, j))
 
 
-def cut_masks(n: int, *, max_n: int = DEFAULT_MAX_N) -> list[int]:
+def cut_masks(n: int) -> list[int]:
     """Bitmasks of all 2^n - 2 nontrivial cuts, graded by size then
     lexicographic.
 
     The order makes the complement rule hold: with 1-based ranks, the
-    complement of the k-th cut is the (2^n - 1 - k)-th.
+    complement of the k-th cut is the (2^n - 1 - k)-th.  There is no
+    size cap here: the public paths that take n from their caller
+    (enumerate_cuts, fullcut, the oracle) check it before they call.
     """
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got n={n}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
     bits = [1 << v for v in range(n)]
     return [sum(c) for size in range(1, n) for c in combinations(bits, size)]
 
 
 def enumerate_cuts(n: int, *, max_n: int = DEFAULT_MAX_N) -> list[Cut]:
-    """All 2^n - 2 nontrivial cuts, in cut_masks order."""
-    return [Cut(n, mask) for mask in cut_masks(n, max_n=max_n)]
+    """All 2^n - 2 nontrivial cuts, in cut_masks order, for n <= max_n."""
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
+    return [Cut(n, mask) for mask in cut_masks(n)]
 
 
 def cut_traces(n: int, values: Sequence[int]) -> list[int]:

@@ -66,14 +66,18 @@ def certificate_metric(cert: CutCertificate) -> Metric:
     return Metric(cert.n, combine_cuts(cert.n, terms))
 
 
-def certificate_from_weights(
-    n: int, weights: Sequence[Fraction], *, max_n: int = DEFAULT_MAX_N
-) -> CutCertificate:
-    """Package a full weight vector (enumerate_cuts order), dropping zeros."""
-    masks = cut_masks(n, max_n=max_n)
-    if len(weights) != len(masks):
-        raise ValueError(f"expected {len(masks)} weights, got {len(weights)}")
-    return _certificate(n, masks, weights)
+def certificate_from_weights(n: int, weights: Sequence[Fraction]) -> CutCertificate:
+    """Package a full weight vector (enumerate_cuts order), dropping zeros.
+
+    No size cap: the 2^n - 2 weights already pay for enumerating the
+    cuts.  Their count is checked before any cut is built, and by bit
+    length first, so an n the weights cannot match never costs an
+    n-bit int.
+    """
+    count = len(weights) + 2
+    if count.bit_length() != n + 1 or count != 1 << n:
+        raise ValueError(f"expected 2^{n} - 2 weights, got {len(weights)}")
+    return _certificate(n, cut_masks(n), weights)
 
 
 def _certificate(n: int, masks: Sequence[int], weights: Sequence[Fraction]) -> CutCertificate:
@@ -127,7 +131,7 @@ def verify_cut_certificate(cert: CutCertificate, d: Metric) -> CertificateReport
 def _slacks(d: Metric, max_n: int) -> tuple[list[int], list[int], int]:
     """The cut masks in enumerate_cuts order, each cut's slack
     s_C - |C|(n-|C|) Tr(d)/(m+1) as an integer numerator, and the
-    slacks' common denominator.
+    slacks' common denominator, for d.n <= max_n.
 
     Every cut trace s_C is read off one cut_traces table, in integers
     with d cleared of denominators.  Complements sit at mirrored ranks
@@ -135,7 +139,9 @@ def _slacks(d: Metric, max_n: int) -> tuple[list[int], list[int], int]:
     evaluated.
     """
     n = d.n
-    masks = cut_masks(n, max_n=max_n)
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
+    masks = cut_masks(n)
     m1 = num_pairs(n) + 1
     scale, dd = integer_entries(d.d)
     trace = sum(dd)
@@ -167,17 +173,15 @@ class SufficiencyVerdict:
     """Result of the sufficient condition for cut-cone membership.
 
     status is "member" or "inconclusive"; the condition can never
-    prove non-membership.  slacks lists (cut, slack) for one
-    representative per complement pair, slack =
-    s_C - |C|(n-|C|) Tr/(m+1); failing collects the representatives
-    with negative slack.  On "member", certificate carries the
-    nonnegative candidate decomposition.
+    prove non-membership.  failing lists, in enumerate_cuts order, the
+    complement-class representatives (cuts containing vertex 1) with
+    negative slack s_C - |C|(n-|C|) Tr/(m+1).  On "member",
+    certificate carries the nonnegative candidate decomposition.
     """
 
     n: int
     status: str
     certificate: CutCertificate | None
-    slacks: tuple[tuple[Cut, Fraction], ...]
     failing: tuple[Cut, ...]
 
 
@@ -192,19 +196,16 @@ def sufficient_condition(
     the cut cone and the candidate weights form a certificate.
     """
     n = d.n
-    masks, all_slacks, den = _slacks(d, max_n)
-    reps = [(Cut(n, mask), s) for mask, s in zip(masks, all_slacks) if mask & 1]
-    slacks = tuple((c, Fraction(s, den)) for c, s in reps)
-    failing = tuple(c for c, s in reps if s < 0)
+    masks, slacks, den = _slacks(d, max_n)
+    failing = tuple(Cut(n, mask) for mask, s in zip(masks, slacks) if s < 0 and mask & 1)
     cert = None
     if not failing:
         den <<= n - 2
-        cert = _certificate(n, masks, [Fraction(s, den) for s in all_slacks])
+        cert = _certificate(n, masks, [Fraction(s, den) for s in slacks])
     return SufficiencyVerdict(
         n=n,
         status="inconclusive" if failing else "member",
         certificate=cert,
-        slacks=slacks,
         failing=failing,
     )
 
@@ -259,19 +260,18 @@ def _cut_rank(n: int, members: Sequence[int]) -> int:
     return below - sum(comb(n - v, k - i) for i, v in enumerate(members))
 
 
-def phi_vector(n: int, k: int, *, max_n: int = DEFAULT_MAX_N) -> KernelVector:
+def phi_vector(n: int, k: int) -> KernelVector:
     """phi_k = e at cut rank k minus e at rank 2^n - 1 - k (1-based).
 
     Since the enumeration pairs complements at mirrored ranks, this is
     the singleton {k} minus its complement; complements induce the
-    same cut metric, so S phi_k = 0.
+    same cut metric, so S phi_k = 0.  Two entries whatever n is, so
+    there is no size cap.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
     if n < 3:
         raise ValueError(f"need at least 3 vertices, got n={n}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
     total = (1 << n) - 2
     return KernelVector(
         label=f"phi_{k}",
@@ -319,24 +319,9 @@ def kernel_basis(n: int, *, max_n: int = DEFAULT_MAX_N) -> KernelBasis:
         raise ValueError(f"need at least 3 vertices, got n={n}")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
-    vectors = [phi_vector(n, k, max_n=max_n) for k in range(1, n)]
+    vectors = [phi_vector(n, k) for k in range(1, n)]
     for size in range(3, n + 1):
         for subset in combinations(range(1, n + 1), size):
             vectors.append(psi_vector(n, subset, max_n=max_n))
     return KernelBasis(n=n, vectors=tuple(vectors), normative=n >= 5)
 
-
-def apply_full_cut_matrix(
-    n: int,
-    entries: Iterable[tuple[int, Fraction]],
-    *,
-    max_n: int = DEFAULT_MAX_N,
-) -> tuple[Fraction, ...]:
-    """Image under the full cut-matrix of a sparse coefficient vector.
-
-    entries are (cut index, coefficient) pairs in enumerate_cuts
-    indexing.  Avoids materializing the matrix; used to check kernel
-    membership (all-zero image).
-    """
-    masks = cut_masks(n, max_n=max_n)
-    return combine_cuts(n, ((masks[idx], coeff) for idx, coeff in entries))

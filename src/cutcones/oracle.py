@@ -77,7 +77,7 @@ from math import isqrt, prod
 from operator import mul
 from typing import Callable, Sequence
 
-from cutcones.cut_algebra import DEFAULT_MAX_N, RationalMatrix, combine_cuts, cut_masks
+from cutcones.cut_algebra import RationalMatrix, combine_cuts, cut_masks
 from cutcones.metric import (
     Metric, RationalLike, integer_entries, pair_table, split_pairs, vertex_pairs,
 )
@@ -311,9 +311,7 @@ def cutcone_membership(
     """
     if d.n > max_n:
         raise ValueError(f"n={d.n} exceeds the cut-cone oracle maximum {max_n}")
-    if d.n < 3:
-        raise ValueError(f"need at least 3 vertices, got n={d.n}")
-    masks = cut_masks(d.n, max_n=d.n)
+    masks = cut_masks(d.n)
     result = _solve(_cut_columns(d.n, masks[: len(masks) // 2]), 1, d.d)
     if not result.feasible:
         return result
@@ -394,7 +392,6 @@ def random_cut_combination(
     low: int = 0,
     high: int = 3,
     denom: int = 4,
-    max_n: int = DEFAULT_MAX_N,
 ) -> Metric:
     """Nonnegative random combination of all nontrivial cut metrics.
 
@@ -404,7 +401,7 @@ def random_cut_combination(
         raise ValueError("weights must stay nonnegative")
     terms = [
         (mask, random_rational(rng, low=low, high=high, denom=denom))
-        for mask in cut_masks(n, max_n=max_n)
+        for mask in cut_masks(n)
     ]
     return Metric(n, combine_cuts(n, terms))
 

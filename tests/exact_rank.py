@@ -1,6 +1,8 @@
 """Exact linear algebra for the tests: the rank over the rationals
-(the kernel basis dimension and the eigenprojector ranks), and matrices
-cleared to integer numpy arrays for checking the matrix identities.
+(the kernel basis dimension and the eigenprojector ranks), the image of
+a sparse vector under the full cut-matrix (kernel membership and the
+candidate solution), and matrices cleared to integer numpy arrays for
+checking the matrix identities.
 
 The arrays hold Python ints (dtype object), so every product is exact
 and cannot overflow; over ints they are also far faster than arrays of
@@ -10,11 +12,11 @@ Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from cutcones.cut_algebra import RationalMatrix
+from cutcones.cut_algebra import RationalMatrix, combine_cuts, cut_masks
 from cutcones.metric import integer_entries
 
 
@@ -40,6 +42,18 @@ def times(matrix: RationalMatrix, vector: Sequence[Fraction | int]) -> tuple[Fra
     q, a = integer_arrays(matrix)
     r, v = integer_entries(vector)
     return tuple(Fraction(x, q * r) for x in a @ np.array(v, dtype=object))
+
+
+def apply_full_cut_matrix(
+    n: int, entries: Iterable[tuple[int, Fraction]]
+) -> tuple[Fraction, ...]:
+    """Image under the full cut-matrix of a sparse coefficient vector,
+    given as (cut index, coefficient) pairs in enumerate_cuts indexing,
+    without building the matrix.  An all-zero image means the vector is
+    in the kernel.
+    """
+    masks = cut_masks(n)
+    return combine_cuts(n, ((masks[idx], coeff) for idx, coeff in entries))
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -28,7 +28,6 @@ from cutcones.embeddings import (
 )
 from cutcones.fullcut import (
     CutCertificate,
-    apply_full_cut_matrix,
     certificate_from_weights,
     kernel_basis,
     psi_vector,
@@ -59,7 +58,7 @@ from cutcones.sig import (
 )
 
 from conftest import FIGURE_EIGHT_EDGES
-from exact_rank import integer_arrays, matrix_rank
+from exact_rank import apply_full_cut_matrix, integer_arrays, matrix_rank
 
 F = Fraction
 

@@ -3,9 +3,12 @@
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -374,8 +377,9 @@ def test_max_n_zero_is_a_cap_not_unset(cli, write, argv):
 
 
 def test_cutcone_exact_certificate_keeps_a_lifted_cap(cli, write, monkeypatch):
-    # --max-n above the cut enumeration's default of 16 must reach the
-    # certificate too, not only the oracle
+    # --max-n is the oracle's cap alone: packaging the witness has no cap
+    # of its own, so an n above the enumeration's default of 16 still
+    # gets its certificate
     d = Metric(17, cut_metric_vector(Cut.from_members(17, (1,))))
     witness = (F(1),) + (F(0),) * (2**17 - 3)
     monkeypatch.setattr(
@@ -604,6 +608,19 @@ def test_family_piped_into_paircut(cli):
     code, out, _ = cli("paircut", stdin=metric_json)
     assert code == 1
     assert "NOT a member" in out
+
+
+def test_module_entry_point(cli):
+    # python -m cutcones.cli runs main() and exits with its code
+    _, metric_json, _ = cli("family", "gen", "K", "5", "--metric", "d1")
+    src = Path(cutcones.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutcones.cli", "paircut"],
+        input=metric_json, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("member of the pair-cut cone\n")
 
 
 def test_matrix_dump_square_n4(cli):

@@ -11,6 +11,7 @@ from cutcones.cut_algebra import (
     Cut,
     RationalMatrix,
     combine_cuts,
+    cut_masks,
     cut_metric_vector,
     cut_traces,
     enumerate_cuts,
@@ -54,6 +55,10 @@ def test_cut_rejects_out_of_range():
         Cut(3, 1 << 3)
     with pytest.raises(ValueError):
         Cut(3, -1)
+    with pytest.raises(ValueError, match="need at least 2 vertices, got n=1"):
+        Cut(1, 0)
+    with pytest.raises(ValueError, match="vertex 6 out of range 1..5"):
+        Cut(5, 1).contains(6)
     assert Cut(3, (1 << 3) - 1).is_trivial
 
 
@@ -125,6 +130,8 @@ def test_enumerate_size_guards():
     assert len(enumerate_cuts(5, max_n=5)) == 30
     with pytest.raises(ValueError):
         enumerate_cuts(6, max_n=5)
+    # the cap is enumerate_cuts', not that of the helper it calls
+    assert len(cut_masks(17)) == 2**17 - 2
 
 
 # ---------------------------------------------------------------------------

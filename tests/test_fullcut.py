@@ -8,10 +8,10 @@ from itertools import combinations
 import pytest
 
 from cutcones.cut_algebra import Cut, cut_metric_vector, enumerate_cuts
+from cutcones import fullcut
 from cutcones.fullcut import (
     CutCertificate,
     _cut_rank,
-    apply_full_cut_matrix,
     candidate_solution,
     certificate_from_weights,
     certificate_metric,
@@ -26,7 +26,7 @@ from cutcones.oracle import random_cut_combination, random_semimetric
 from cutcones.sig import cocktail_party_graph, path_graph, truncated_metric, hypercube_graph
 
 from conftest import metric_of_ints
-from exact_rank import matrix_rank
+from exact_rank import apply_full_cut_matrix, matrix_rank
 
 F = Fraction
 
@@ -77,6 +77,19 @@ def test_certificate_from_weights_drops_zeros():
     assert cert.weights == (F(2), F(1, 3))
     with pytest.raises(ValueError):
         certificate_from_weights(5, weights[:-1])
+
+
+@pytest.mark.parametrize("n, count", [(3, 0), (5, 29), (5, 31), (60, 3)])
+def test_certificate_from_weights_checks_the_count_first(n, count, monkeypatch):
+    """A weight count that does not match n is rejected before any cut
+    is enumerated (at n=60 enumerating would never finish)."""
+
+    def forbidden(*_):
+        raise AssertionError("cut_masks called")
+
+    monkeypatch.setattr(fullcut, "cut_masks", forbidden)
+    with pytest.raises(ValueError, match=f"got {count}"):
+        certificate_from_weights(n, [F(1)] * count)
 
 
 def test_verify_path_certificate():
@@ -142,6 +155,15 @@ def test_candidate_solves_the_system():
             assert image == d.d
 
 
+@pytest.mark.parametrize("solve", [candidate_solution, sufficient_condition])
+def test_candidate_and_sufficient_respect_max_n(solve):
+    with pytest.raises(ValueError, match="n=17 exceeds the configured maximum 16"):
+        solve(metric_of_ints(17, [1] * num_pairs(17)))
+    with pytest.raises(ValueError, match="n=6 exceeds the configured maximum 5"):
+        solve(metric_of_ints(6, [1] * 15), max_n=5)
+    solve(metric_of_ints(5, [1] * 10), max_n=5)
+
+
 def test_candidate_is_linear():
     rng = random.Random(44)
     a = random_semimetric(5, rng)
@@ -164,10 +186,11 @@ def test_sufficient_complete_graphs_member():
         verdict = sufficient_condition(d)
         assert verdict.status == "member"
         m = num_pairs(n)
-        # with s_C = |C|(n-|C|) and Tr = m the slack is |C|(n-|C|)/(m+1)
-        for cut, slack in verdict.slacks:
+        # with s_C = |C|(n-|C|) and Tr = m the slack 2^(n-2) w_C is
+        # |C|(n-|C|)/(m+1)
+        for cut, w in zip(enumerate_cuts(n), candidate_solution(d)):
             k = cut.size
-            assert slack == F(k * (n - k), m + 1)
+            assert 2 ** (n - 2) * w == F(k * (n - k), m + 1)
         report = verify_cut_certificate(verdict.certificate, d)
         assert report.valid
 
@@ -203,11 +226,14 @@ def test_sufficient_certificates_verify_on_random_passes():
 
 
 def test_sufficient_iterates_complement_representatives():
-    d = metric_of_ints(5, [1] * 10)
+    """failing holds one cut per failing complement class, the one that
+    contains vertex 1, in enumeration order."""
+    d = truncated_metric(hypercube_graph(3))
     verdict = sufficient_condition(d)
-    assert len(verdict.slacks) == 2 ** 4 - 1
-    for cut, _ in verdict.slacks:
-        assert cut.contains(1)
+    assert verdict.status == "inconclusive"
+    negative = [c for c, w in zip(enumerate_cuts(8), candidate_solution(d)) if w < 0]
+    assert verdict.failing == tuple(c for c in negative if c.contains(1))
+    assert len(negative) == 2 * len(verdict.failing)
 
 
 def test_sufficient_rejects_tiny_input():
@@ -237,10 +263,9 @@ def test_phi_vector_rejects_fewer_than_three_vertices():
         phi_vector(2, 1)
 
 
-def test_phi_vector_respects_max_n():
-    with pytest.raises(ValueError, match="n=6 exceeds the configured maximum 5"):
-        phi_vector(6, 1, max_n=5)
-    assert phi_vector(5, 1, max_n=5).entries == ((0, F(1)), (29, F(-1)))
+def test_phi_vector_has_two_entries_at_any_n():
+    assert phi_vector(5, 1).entries == ((0, F(1)), (29, F(-1)))
+    assert phi_vector(20, 1).entries == ((0, F(1)), (2**20 - 3, F(-1)))
 
 
 def test_psi_vectors_match_printed_four_point_table():
@@ -284,8 +309,8 @@ def test_kernel_vector_entries_are_index_sorted():
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_sufficient_slacks_come_from_the_trace_table(n, monkeypatch):
-    """Slacks and candidate weights equal the per-cut split_pairs
-    reference, while split_pairs itself is never called."""
+    """The failing cuts and the candidate weights follow the per-cut
+    split_pairs slacks, while split_pairs itself is never called."""
     rng = random.Random(n)
     m = num_pairs(n)
     metrics = [
@@ -310,10 +335,11 @@ def test_sufficient_slacks_come_from_the_trace_table(n, monkeypatch):
             monkeypatch.setattr(module, "split_pairs", forbidden)
     for d, slack in zip(metrics, expected):
         verdict = sufficient_condition(d)
-        assert [c.members for c, _ in verdict.slacks] == [
-            c.members for c in enumerate_cuts(n) if c.members & 1
-        ]
-        assert all(s == slack[c.members] for c, s in verdict.slacks)
+        failing = tuple(
+            c for c in enumerate_cuts(n) if c.members & 1 and slack[c.members] < 0
+        )
+        assert verdict.failing == failing
+        assert verdict.status == ("inconclusive" if failing else "member")
         scale = F(1, 2 ** (n - 2))
         assert candidate_solution(d) == tuple(
             scale * slack[c.members] for c in enumerate_cuts(n)

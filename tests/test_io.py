@@ -44,7 +44,11 @@ F = Fraction
 
 
 def test_parse_rational_accepted_forms():
+    class Count(int):
+        pass
+
     assert parse_rational(5) == F(5)
+    assert parse_rational(Count(3)) == F(3)
     assert parse_rational(-3) == F(-3)
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("  -7/2  ") == F(-7, 2)
@@ -57,6 +61,9 @@ def test_parse_rational_rejections():
     for bad in (1.5, True, False, None, [1], "nan", "inf", "1/0", "abc", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+    # an exponent that is not an int passes the size check; Fraction rejects it
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational("1.5eX")
 
 
 def test_parse_rational_token_size_limits():
@@ -424,6 +431,15 @@ def test_dumps_json_is_the_indent2_layout(doc):
 def test_dumps_json_layout_examples():
     for doc in ([], {}, [[]], {"a": {}}, [1, [2, [3, []]], {"k": ()}], {"x": [1, "2"], "y": None}):
         _check_layout(doc)
+
+
+def test_dumps_json_without_the_c_encoder(monkeypatch):
+    # the only path on an interpreter whose json has no C accelerator
+    doc = certificate_to_json(
+        CutCertificate(5, (Cut(5, 1), Cut(5, 6)), (F(1, 2), F(3)))
+    )
+    monkeypatch.setattr(cio, "c_make_encoder", None)
+    assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_a_writer_that_checks_only_the_first_item_fails_the_property(monkeypatch):

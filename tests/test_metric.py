@@ -406,6 +406,11 @@ def test_cut_trace_rejects_trivial_cuts():
         cut_trace(d, Cut(4, 0b1111))
 
 
+def test_cut_trace_rejects_a_cut_on_other_vertices():
+    with pytest.raises(ValueError, match="cut on 5 vertices vs metric on 4"):
+        cut_trace(metric_of_ints(4, [1] * 6), Cut(5, 1))
+
+
 def test_cut_trace_matches_cut_vector_dot_product():
     rng = random.Random(5)
     d = Metric(5, tuple(Fraction(rng.randint(0, 7), 2) for _ in range(10)))

@@ -174,7 +174,7 @@ def test_packed_solver_matches_reference_on_cut_columns():
     seen = set()
     for n in range(3, 10):
         m = n * (n - 1) // 2
-        masks = cut_masks(n, max_n=n)
+        masks = cut_masks(n)
         column_sets = (
             [(tuple(split_pairs(n, mask)), None) for mask in masks[: len(masks) // 2]],
             [(tuple(split_pairs(n, 1 << (i - 1) | 1 << (j - 1))), None) for i, j in vertex_pairs(n)],

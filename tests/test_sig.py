@@ -59,6 +59,18 @@ def test_graph_construction_and_queries():
     assert SimpleGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)]).is_connected()
 
 
+def test_graph_rejects_bad_rows_and_vertices():
+    with pytest.raises(ValueError, match="expected 3 adjacency rows, got 2"):
+        SimpleGraph(3, (0, 0))
+    with pytest.raises(ValueError, match="adjacency row for vertex 1 out of range"):
+        SimpleGraph(2, (4, 0))
+    g = SimpleGraph.from_edges(4, [(1, 2)])
+    with pytest.raises(ValueError, match=r"vertices must lie in 1..4, got \(0, 1\)"):
+        g.are_adjacent(0, 1)
+    with pytest.raises(ValueError, match="vertex 5 out of range 1..4"):
+        g.degree(5)
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         SimpleGraph.from_edges(3, [(1, 1)])
