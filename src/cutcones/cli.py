@@ -6,14 +6,17 @@ certificate that fails its re-check, which must never read as a
 verdict).  Object-valued outputs (metrics, graphs, point sets,
 certificates) are always emitted in their canonical JSON file formats
 so commands can be piped; verdict output honors --format text|json.
-Inputs default to stdin ("-").
+Inputs default to stdin ("-"); two inputs of one command cannot both
+read it.  Options follow the command, and an option given where it
+cannot act (a size cap on a step with no cap, a file that can never be
+written) is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import json  # bench/spans.py's Tracer.installed() swaps out cli.json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,14 +50,10 @@ def _print_payload(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _fmt(args: argparse.Namespace) -> str:
-    return args.format or "text"
-
-
 def _emit_verdict(args: argparse.Namespace, doc: dict[str, Any], lines: Iterable[str]) -> None:
     """Print doc as JSON or lines as text; lines is read in text mode
     only, so it may be a generator that formats nothing under json."""
-    if _fmt(args) == "json":
+    if args.format == "json":
         sys.stdout.write(cio.dumps_json(doc))
     else:
         sys.stdout.write("\n".join(lines) + "\n")
@@ -110,6 +109,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_MEMBER
 
 
+def _stdin_once(args: argparse.Namespace, *inputs: str) -> None:
+    """Reject two inputs that would both read stdin, before either is
+    read: the second would find it empty.  An omitted input reads stdin."""
+    on_stdin = [f"--{name}" for name in inputs if getattr(args, name) in (None, "-")]
+    if len(on_stdin) > 1:
+        raise ValueError(" and ".join(on_stdin) + " cannot both read stdin")
+
+
 def _max_n(args: argparse.Namespace) -> dict[str, int]:
     """max_n as a keyword argument when --max-n is given, else nothing."""
     return {} if args.max_n is None else {"max_n": args.max_n}
@@ -136,6 +143,8 @@ def _emit_farkas(args: argparse.Namespace, n: int, farkas: Iterable[cm.RationalL
 def _cmd_paircut(args: argparse.Namespace) -> int:
     d = cio.loads_metric(_read_text(args.metric))
     use_oracle = args.mode == "exact" or d.n < 5
+    if not use_oracle and args.max_n is not None:
+        raise ValueError(f"--max-n caps the exact oracle, and n = {d.n} goes to the closed form")
     if use_oracle:
         result = oracle.paircut_membership_exact(d, **_max_n(args))
         doc: dict[str, Any] = {
@@ -192,7 +201,7 @@ def _certificate_verdict(
 ) -> Iterator[str]:
     """Report a member's certificate in doc (JSON mode only) and
     --emit-certificate, converting it once, and return its text lines."""
-    json_mode = _fmt(args) == "json"
+    json_mode = args.format == "json"
     if json_mode or args.emit_certificate:
         cert_doc = cio.certificate_to_json(cert)
         if json_mode:
@@ -209,6 +218,8 @@ def _inconclusive_lines(failing: tuple[cut_algebra.Cut, ...]) -> Iterator[str]:
 
 
 def _cmd_cutcone(args: argparse.Namespace) -> int:
+    if args.mode == "sufficient" and args.emit_farkas is not None:
+        raise ValueError("--emit-farkas needs cutcone exact: sufficient never refutes membership")
     d = cio.loads_metric(_read_text(args.metric))
     if args.mode == "sufficient":
         verdict = fullcut.sufficient_condition(d, **_max_n(args))
@@ -246,6 +257,7 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_cert(args: argparse.Namespace) -> int:
+    _stdin_once(args, "cert", "metric")
     cert = cio.loads_certificate(_read_text(args.cert))
     d = cio.loads_metric(_read_text(args.metric))
     report = fullcut.verify_cut_certificate(cert, d)
@@ -275,6 +287,7 @@ def _verify_lines(report: fullcut.CertificateReport) -> Iterator[str]:
 
 
 def _cmd_sig_verify(args: argparse.Namespace) -> int:
+    _stdin_once(args, "metric", "graph")
     d = cio.loads_metric(_read_text(args.metric))
     g = cio.loads_graph(_read_text(args.graph))
     report = sig.verify_sig_metric(d, g)
@@ -340,7 +353,7 @@ def _dense_tokens(v: fullcut.KernelVector, length: int) -> list[str]:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     basis = fullcut.kernel_basis(args.n, **_max_n(args))
     length = (1 << args.n) - 2
-    if _fmt(args) == "json":
+    if args.format == "json":
         doc = {
             "command": "kernel-basis",
             "n": basis.n,
@@ -366,6 +379,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     if args.kind == "l1":
+        if args.metric:  # omitted, it means no check, not stdin
+            _stdin_once(args, "cert", "metric")
         cert = cio.loads_certificate(_read_text(args.cert))
         points = embeddings.l1_embedding(cert)
         if args.metric:
@@ -403,19 +418,21 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 _MATRICES = {
-    "square": lambda n, **_: cut_algebra.square_cut_matrix(n),
-    "incidence": lambda n, **_: cut_algebra.incidence_matrix(n),
-    "inverse": lambda n, **_: cut_algebra.inverse_square_cut_matrix(n),
+    "square": cut_algebra.square_cut_matrix,
+    "incidence": cut_algebra.incidence_matrix,
+    "inverse": cut_algebra.inverse_square_cut_matrix,
     "full": cut_algebra.full_cut_matrix,
-    "proj-low": lambda n, **_: cut_algebra.projectors(n)[0],
-    "proj-mid": lambda n, **_: cut_algebra.projectors(n)[1],
-    "proj-top": lambda n, **_: cut_algebra.projectors(n)[2],
+    "proj-low": lambda n: cut_algebra.projectors(n)[0],
+    "proj-mid": lambda n: cut_algebra.projectors(n)[1],
+    "proj-top": lambda n: cut_algebra.projectors(n)[2],
 }
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    if args.max_n is not None and args.which != "full":
+        raise ValueError(f"--max-n caps matrix dump full only; {args.which} has no cap")
     matrix: RationalMatrix = _MATRICES[args.which](args.n, **_max_n(args))
-    if _fmt(args) == "json":
+    if args.format == "json":
         doc = {
             "command": "matrix-dump",
             "which": args.which,
@@ -442,83 +459,71 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cut-cone membership, decompositions, embeddings, "
         "and sphere-of-influence graphs.",
     )
+    # each option shared by several commands is declared once, in a parent
     fmt = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps an unset subcommand-level flag from shadowing a
-    # --format given before the subcommand (subparsers re-apply defaults)
     fmt.add_argument(
-        "--format", choices=("text", "json"), default=argparse.SUPPRESS,
+        "--format", choices=("text", "json"), default="text",
         help="verdict output format (object outputs are always canonical JSON)",
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default=None, help=argparse.SUPPRESS
-    )
+    metric_in = argparse.ArgumentParser(add_help=False)
+    metric_in.add_argument("--metric", help="metric JSON file (default stdin)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--output", help="write to file instead of stdout")
+    farkas = argparse.ArgumentParser(add_help=False)
+    farkas.add_argument("--emit-farkas", metavar="PATH", help="write the Farkas vector on non-membership")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--max-n", type=int, help="size cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the (semi-)metric axioms", parents=[fmt])
-    p.add_argument("--metric", help="metric JSON file (default stdin)")
+    p = sub.add_parser("validate", help="check the (semi-)metric axioms", parents=[fmt, metric_in])
     p.add_argument("--strict", action="store_true", help="also reject zero distances")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("stats", help="trace and star traces of a metric", parents=[fmt])
-    p.add_argument("--metric", help="metric JSON file (default stdin)")
+    p = sub.add_parser("stats", help="trace and star traces of a metric", parents=[fmt, metric_in])
     p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("paircut", help="pair-cut cone membership", parents=[fmt])
+    p = sub.add_parser("paircut", help="pair-cut cone membership", parents=[fmt, metric_in, cap, farkas])
     p.add_argument(
         "mode", nargs="?", choices=("exact",),
         help="force the LP oracle instead of the closed form",
     )
-    p.add_argument("--metric", help="metric JSON file (default stdin)")
-    p.add_argument("--max-n", type=int, help="size cap for the exact oracle")
-    p.add_argument("--emit-farkas", metavar="PATH", help="write the Farkas vector on non-membership")
     p.set_defaults(handler=_cmd_paircut)
 
-    p = sub.add_parser("cutcone", help="cut cone membership", parents=[fmt])
+    p = sub.add_parser("cutcone", help="cut cone membership", parents=[fmt, metric_in, cap, farkas])
     p.add_argument("mode", choices=("sufficient", "exact"))
-    p.add_argument("--metric", help="metric JSON file (default stdin)")
-    p.add_argument("--max-n", type=int, help="size cap")
     p.add_argument("--emit-certificate", metavar="PATH", help="write the certificate on membership")
-    p.add_argument("--emit-farkas", metavar="PATH", help="write the Farkas vector on non-membership")
     p.set_defaults(handler=_cmd_cutcone)
 
-    p = sub.add_parser("kernel", help="kernel of the full cut-matrix", parents=[fmt])
+    p = sub.add_parser("kernel", help="kernel of the full cut-matrix", parents=[fmt, cap, out])
     p.add_argument("what", choices=("basis",))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-n", type=int, help="size cap")
-    p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(handler=_cmd_kernel)
 
-    p = sub.add_parser("verify-cert", help="check a cut decomposition against a metric", parents=[fmt])
+    p = sub.add_parser(
+        "verify-cert", help="check a cut decomposition against a metric", parents=[fmt, metric_in]
+    )
     p.add_argument("--cert", required=True, help="certificate JSON file")
-    p.add_argument("--metric", help="metric JSON file (default stdin)")
     p.set_defaults(handler=_cmd_verify_cert)
 
     p = sub.add_parser("embed", help="exact coordinate embeddings")
     esub = p.add_subparsers(dest="kind", required=True)
-    e1 = esub.add_parser("l1", help="l1 points from a cut certificate")
+    e1 = esub.add_parser("l1", help="l1 points from a cut certificate", parents=[out])
     e1.add_argument("--cert", required=True, help="certificate JSON file")
     e1.add_argument("--metric", help="optional metric to verify the isometry against")
-    e1.add_argument("-o", "--output", help="write points to file instead of stdout")
-    e1.set_defaults(handler=_cmd_embed, kind="l1")
-    e2 = esub.add_parser("linf-sig", help="max-norm points realizing a connected graph")
+    e1.set_defaults(handler=_cmd_embed)
+    e2 = esub.add_parser("linf-sig", help="max-norm points realizing a connected graph", parents=[out])
     e2.add_argument("--graph", help="graph JSON file (default stdin)")
-    e2.add_argument("-o", "--output", help="write points to file instead of stdout")
-    e2.set_defaults(handler=_cmd_embed, kind="linf-sig")
+    e2.set_defaults(handler=_cmd_embed)
 
     p = sub.add_parser("sig", help="sphere-of-influence graphs")
     ssub = p.add_subparsers(dest="action", required=True)
-    s1 = ssub.add_parser("build", help="SIG of a strict metric")
-    s1.add_argument("--metric", help="metric JSON file (default stdin)")
-    s1.add_argument("-o", "--output", help="write graph to file instead of stdout")
+    s1 = ssub.add_parser("build", help="SIG of a strict metric", parents=[metric_in, out])
     s1.set_defaults(handler=_cmd_sig_build)
-    s2 = ssub.add_parser("verify", help="check that a metric realizes a graph", parents=[fmt])
-    s2.add_argument("--metric", help="metric JSON file (default stdin)")
+    s2 = ssub.add_parser("verify", help="check that a metric realizes a graph", parents=[fmt, metric_in])
     s2.add_argument("--graph", required=True, help="graph JSON file")
     s2.set_defaults(handler=_cmd_sig_verify)
     s3 = ssub.add_parser(
-        "star-obstruction",
-        help="star SIG-metric forced outside the pair-cut cone",
-        parents=[fmt],
+        "star-obstruction", help="star SIG-metric forced outside the pair-cut cone", parents=[fmt]
     )
     s3.add_argument("--n", type=int, required=True, help="number of leaves (>= 4)")
     s3.add_argument(
@@ -527,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s3.set_defaults(handler=_cmd_sig_star)
 
-    p = sub.add_parser("family", help="graph family catalog")
+    p = sub.add_parser("family", help="graph family catalog", parents=[out])
     p.add_argument("what", choices=("gen",))
     p.add_argument("name", help="K, C, L, Q, B, CP, or S")
     p.add_argument("params", nargs="+", type=int)
@@ -535,15 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric", choices=("d0", "d1"),
         help="emit the truncated (d0) or shortest-path (d1) metric instead of the graph",
     )
-    p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(handler=_cmd_family)
 
-    p = sub.add_parser("matrix", help="dump exact matrices", parents=[fmt])
+    p = sub.add_parser("matrix", help="dump exact matrices", parents=[fmt, cap, out])
     p.add_argument("what", choices=("dump",))
     p.add_argument("which", choices=tuple(_MATRICES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-n", type=int, help="size cap for the full cut-matrix")
-    p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(handler=_cmd_matrix)
 
     return parser

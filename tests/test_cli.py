@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
+import argparse
 import io
 import itertools
 import json
@@ -14,8 +15,8 @@ import pytest
 
 import cutcones
 from cutcones import io as cio
-from cutcones import oracle
-from cutcones.cli import EXIT_INTERNAL, main
+from cutcones import fullcut, oracle, paircut
+from cutcones.cli import _MATRICES, EXIT_INTERNAL, build_parser, main
 from cutcones.cut_algebra import Cut, cut_metric_vector
 from cutcones.embeddings import PointSet
 from cutcones.fullcut import CutCertificate, sufficient_condition
@@ -748,11 +749,138 @@ def test_consecutive_calls_share_no_state(cli, write):
     assert code == 1 and "NOT a member" in out
 
 
-def test_format_flag_accepted_before_and_after_subcommand(cli, write):
+def test_format_flag_follows_the_subcommand(cli, write):
     path = write(Metric(5, (F(1),) * 10))
-    _, after, _ = cli("stats", "--format", "json", "--metric", path)
-    _, before, _ = cli("--format", "json", "stats", "--metric", path)
-    assert json.loads(after) == json.loads(before)
+    code, after, _ = cli("stats", "--format", "json", "--metric", path)
+    assert code == 0 and json.loads(after)["command"] == "stats"
+    code, before, err = cli("--format", "json", "stats", "--metric", path)
+    assert code == 3 and before == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+# every option string of every command path; an option shared by several
+# commands is declared once, so a refactor of the parser must keep this set
+OPTION_SURFACE = {
+    (): {"-h", "--help"},
+    ("validate",): {"-h", "--help", "--format", "--metric", "--strict"},
+    ("stats",): {"-h", "--help", "--format", "--metric"},
+    ("paircut",): {"-h", "--help", "--format", "--metric", "--max-n", "--emit-farkas"},
+    ("cutcone",): {
+        "-h", "--help", "--format", "--metric", "--max-n", "--emit-farkas", "--emit-certificate",
+    },
+    ("kernel",): {"-h", "--help", "--format", "--max-n", "--n", "-o", "--output"},
+    ("verify-cert",): {"-h", "--help", "--format", "--metric", "--cert"},
+    ("embed",): {"-h", "--help"},
+    ("embed", "l1"): {"-h", "--help", "--cert", "--metric", "-o", "--output"},
+    ("embed", "linf-sig"): {"-h", "--help", "--graph", "-o", "--output"},
+    ("sig",): {"-h", "--help"},
+    ("sig", "build"): {"-h", "--help", "--metric", "-o", "--output"},
+    ("sig", "verify"): {"-h", "--help", "--format", "--metric", "--graph"},
+    ("sig", "star-obstruction"): {"-h", "--help", "--format", "--n", "--a"},
+    ("family",): {"-h", "--help", "--metric", "-o", "--output"},
+    ("matrix",): {"-h", "--help", "--format", "--max-n", "--n", "-o", "--output"},
+}
+
+
+def option_surface(parser, path=()):
+    surface = {path: set()}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                surface.update(option_surface(child, path + (name,)))
+        else:
+            surface[path].update(action.option_strings)
+    return surface
+
+
+def test_every_command_keeps_its_option_set():
+    assert option_surface(build_parser()) == OPTION_SURFACE
+
+
+def assert_usage_error(code, out, err):
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+USAGE_ERRORS = {
+    # the closed form has no size cap; it must not run at all
+    "paircut-closed-form-max-n": (
+        "paircut", "--max-n", "20", "--metric", "{non_member}", "--emit-farkas", "{farkas}",
+    ),
+    "cutcone-sufficient-emit-farkas": (
+        "cutcone", "sufficient", "--metric", "{member}", "--emit-farkas", "{farkas}",
+        "--emit-certificate", "{certificate}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(USAGE_ERRORS))
+def test_option_that_cannot_act_is_a_usage_error(cli, write, tmp_path, monkeypatch, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(paircut, "paircut_membership", no_work)
+    monkeypatch.setattr(fullcut, "sufficient_condition", no_work)
+    paths = {
+        "non_member": write(truncated_metric(family("Q", 3))),
+        "member": write(Metric(6, (F(1),) * 15)),
+        "farkas": str(tmp_path / "farkas.json"),
+        "certificate": str(tmp_path / "certificate.json"),
+    }
+    argv = [arg.format(**paths) for arg in USAGE_ERRORS[name]]
+    assert_usage_error(*cli(*argv))
+    assert not (tmp_path / "farkas.json").exists()
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_paircut_max_n_is_taken_wherever_the_oracle_runs(cli, write):
+    small = write(pair_cut_metric(4, ((1, 2), F(1))))
+    assert cli("paircut", "--max-n", "4", "--metric", small)[0] == 0
+    assert cli("paircut", "--max-n", "3", "--metric", small)[0] == 3
+    large = write(truncated_metric(family("Q", 3)))
+    assert cli("paircut", "exact", "--max-n", "8", "--metric", large)[0] == 1
+
+
+@pytest.mark.parametrize("which", sorted(set(_MATRICES) - {"full"}))
+def test_matrix_dump_max_n_caps_full_only(cli, tmp_path, which):
+    out = tmp_path / "matrix.txt"
+    assert_usage_error(*cli("matrix", "dump", which, "--n", "5", "--max-n", "5", "-o", str(out)))
+    assert not out.exists()
+    assert cli("matrix", "dump", which, "--n", "5")[0] == 0
+
+
+def test_matrix_dump_full_takes_max_n(cli):
+    capped = cli("matrix", "dump", "full", "--n", "5", "--max-n", "5")
+    assert capped == cli("matrix", "dump", "full", "--n", "5")
+    assert capped[0] == 0
+
+
+# two inputs of one command that would both read stdin are rejected
+# before either is read, naming both options
+
+
+def test_verify_cert_certificate_and_metric_cannot_both_read_stdin(cli):
+    cert = cio.dumps_json(cio.certificate_to_json(path_certificate()))
+    for extra in ((), ("--metric", "-")):
+        code, out, err = cli("verify-cert", "--cert", "-", *extra, stdin=cert)
+        assert_usage_error(code, out, err)
+        assert err == "error: --cert and --metric cannot both read stdin\n"
+
+
+def test_sig_verify_metric_and_graph_cannot_both_read_stdin(cli, figure_eight):
+    code, out, err = cli("sig", "verify", "--graph", "-", stdin=cio.dumps_graph(figure_eight))
+    assert_usage_error(code, out, err)
+    assert err == "error: --metric and --graph cannot both read stdin\n"
+
+
+def test_embed_l1_certificate_and_metric_cannot_both_read_stdin(cli):
+    cert = cio.dumps_json(cio.certificate_to_json(path_certificate()))
+    code, out, err = cli("embed", "l1", "--cert", "-", "--metric", "-", stdin=cert)
+    assert_usage_error(code, out, err)
+    assert err == "error: --cert and --metric cannot both read stdin\n"
+    # an omitted --metric means no check, not stdin
+    code, out, _ = cli("embed", "l1", "--cert", "-", stdin=cert)
+    assert code == 0 and load_points(out).dimension == 6
 
 
 # ---------------------------------------------------------------------------
