@@ -5,7 +5,12 @@ inconclusive, 3 usage or input error, 4 internal error (for example a
 certificate that fails its re-check, which must never read as a
 verdict).  Object-valued outputs (metrics, graphs, point sets,
 certificates) are always emitted in their canonical JSON file formats
-so commands can be piped; verdict output honors --format text|json.
+so commands can be piped.  A verdict command builds one document:
+--format json prints it as JSON, and --format text (the default) renders
+it with io.dumps_text, one `key: value` line per field in document
+order.  A scalar prints as its JSON token without quotes and a list of
+scalars as its space-separated tokens; an object, or a list of
+containers, prints as `key:` then one indented line per field or item.
 Inputs default to stdin ("-"); two inputs of one command cannot both
 read it.  Options follow the command, and an option given where it
 cannot act (a size cap on a step with no cap, a file that can never be
@@ -20,7 +25,7 @@ import json  # bench/spans.py's Tracer.installed() swaps out cli.json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from cutcones import cut_algebra, embeddings, fullcut, io as cio, metric as cm
 from cutcones import oracle, paircut, sig
@@ -50,13 +55,10 @@ def _print_payload(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _emit_verdict(args: argparse.Namespace, doc: dict[str, Any], lines: Iterable[str]) -> None:
-    """Print doc as JSON or lines as text; lines is read in text mode
-    only, so it may be a generator that formats nothing under json."""
-    if args.format == "json":
-        sys.stdout.write(cio.dumps_json(doc))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+def _emit_doc(args: argparse.Namespace, doc: dict[str, Any], out: str | None = None) -> None:
+    """Print doc, or write it to out, as JSON or as text by --format."""
+    dumps = cio.dumps_json if args.format == "json" else cio.dumps_text
+    _print_payload(dumps(doc), out)
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +82,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         ],
         "zero_entries": [{"i": i, "j": j} for i, j in report.zero_entries],
     }
-    kind = "strict metric" if args.strict else "semi-metric"
-    lines = [f"{'valid' if report.valid else 'INVALID'} {kind} on {d.n} vertices"]
-    for i, j, k, s in report.triangle_violations:
-        lines.append(f"  triangle ({i},{j};{k}) violated, slack {_q(s)}")
-    for i, j, v in report.negative_entries:
-        lines.append(f"  negative entry d({i},{j}) = {_q(v)}")
-    for i, j in report.zero_entries:
-        lines.append(f"  zero entry d({i},{j})")
-    _emit_verdict(args, doc, lines)
+    _emit_doc(args, doc)
     return EXIT_MEMBER if report.valid else EXIT_NON_MEMBER
 
 
@@ -101,11 +95,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "trace": _q(s.trace),
         "star_traces": [_q(x) for x in s.star_traces],
     }
-    lines = [f"n = {d.n}", f"trace = {_q(s.trace)}"]
-    lines += [
-        f"star trace s_{i} = {_q(x)}" for i, x in enumerate(s.star_traces, start=1)
-    ]
-    _emit_verdict(args, doc, lines)
+    _emit_doc(args, doc)
     return EXIT_MEMBER
 
 
@@ -120,16 +110,6 @@ def _stdin_once(args: argparse.Namespace, *inputs: str) -> None:
 def _max_n(args: argparse.Namespace) -> dict[str, int]:
     """max_n as a keyword argument when --max-n is given, else nothing."""
     return {} if args.max_n is None else {"max_n": args.max_n}
-
-
-def _farkas_verdict(
-    args: argparse.Namespace, n: int, farkas: tuple[Fraction, ...], cone: str,
-    doc: dict[str, Any],
-) -> list[str]:
-    """Report a non-member's Farkas vector in doc and --emit-farkas, and
-    return its two text lines."""
-    doc["farkas"] = tokens = _emit_farkas(args, n, farkas)
-    return [f"NOT a member of the {cone}", "farkas: " + " ".join(tokens)]
 
 
 def _emit_farkas(args: argparse.Namespace, n: int, farkas: Iterable[cm.RationalLike]) -> list[str]:
@@ -153,16 +133,11 @@ def _cmd_paircut(args: argparse.Namespace) -> int:
             "n": d.n,
             "member": result.feasible,
         }
-        lines = []
-        if args.mode != "exact":
-            lines.append(f"n = {d.n} < 5: routed to the exact oracle")
         if result.feasible:
             doc["weights"] = [_q(x) for x in result.witness]
-            lines.append("member of the pair-cut cone")
-            lines.append("weights: " + " ".join(_q(x) for x in result.witness))
         else:
-            lines += _farkas_verdict(args, d.n, result.farkas, "pair-cut cone", doc)
-        _emit_verdict(args, doc, lines)
+            doc["farkas"] = _emit_farkas(args, d.n, result.farkas)
+        _emit_doc(args, doc)
         return EXIT_MEMBER if result.feasible else EXIT_NON_MEMBER
     verdict = paircut.paircut_membership(d)
     doc = {
@@ -175,46 +150,20 @@ def _cmd_paircut(args: argparse.Namespace) -> int:
             {"i": i, "j": j, "slack": _q(s)} for (i, j), s in verdict.violations
         ],
     }
-    lines = [
-        "member of the pair-cut cone"
-        if verdict.member
-        else "NOT a member of the pair-cut cone"
-    ]
-    for (i, j), s in verdict.violations:
-        lines.append(f"  pair ({i},{j}) violated, slack {_q(s)}")
     if verdict.violations and args.emit_farkas:
         _emit_farkas(args, d.n, oracle.paircut_farkas(d, verdict.violations[0][0]))
-    if verdict.member:
-        lines.append("weights: " + " ".join(_q(x) for x in verdict.weights))
-    _emit_verdict(args, doc, lines)
+    _emit_doc(args, doc)
     return EXIT_MEMBER if verdict.member else EXIT_NON_MEMBER
 
 
-def _member_lines(head: str, cert: fullcut.CutCertificate) -> Iterator[str]:
-    yield head
-    for c, w in zip(cert.cuts, cert.weights):
-        yield f"  cut {{{','.join(map(str, c.member_list))}}} weight {_q(w)}"
-
-
 def _certificate_verdict(
-    args: argparse.Namespace, cert: fullcut.CutCertificate, head: str, doc: dict[str, Any]
-) -> Iterator[str]:
-    """Report a member's certificate in doc (JSON mode only) and
-    --emit-certificate, converting it once, and return its text lines."""
-    json_mode = args.format == "json"
-    if json_mode or args.emit_certificate:
-        cert_doc = cio.certificate_to_json(cert)
-        if json_mode:
-            doc["certificate"] = cert_doc
-        if args.emit_certificate:
-            Path(args.emit_certificate).write_text(cio.dumps_json(cert_doc))
-    return _member_lines(head, cert)
-
-
-def _inconclusive_lines(failing: tuple[cut_algebra.Cut, ...]) -> Iterator[str]:
-    yield "inconclusive: candidate decomposition has negative weights"
-    for c in failing:
-        yield f"  failing cut {{{','.join(map(str, c.member_list))}}}"
+    args: argparse.Namespace, cert: fullcut.CutCertificate, doc: dict[str, Any]
+) -> None:
+    """Report a member's certificate in doc and --emit-certificate,
+    converting it once."""
+    doc["certificate"] = cert_doc = cio.certificate_to_json(cert)
+    if args.emit_certificate:
+        Path(args.emit_certificate).write_text(cio.dumps_json(cert_doc))
 
 
 def _cmd_cutcone(args: argparse.Namespace) -> int:
@@ -232,13 +181,8 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
             "failing_cuts": [list(c.member_list) for c in verdict.failing],
         }
         if member:
-            lines = _certificate_verdict(
-                args, verdict.certificate,
-                "member of the cut cone (candidate decomposition is nonnegative)", doc,
-            )
-        else:
-            lines = _inconclusive_lines(verdict.failing)
-        _emit_verdict(args, doc, lines)
+            _certificate_verdict(args, verdict.certificate, doc)
+        _emit_doc(args, doc)
         return EXIT_MEMBER if member else EXIT_INCONCLUSIVE
     result = oracle.cutcone_membership(d, **_max_n(args))
     doc = {
@@ -248,11 +192,10 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
         "member": result.feasible,
     }
     if result.feasible:
-        cert = fullcut.certificate_from_weights(d.n, result.witness)
-        lines = _certificate_verdict(args, cert, "member of the cut cone", doc)
+        _certificate_verdict(args, fullcut.certificate_from_weights(d.n, result.witness), doc)
     else:
-        lines = _farkas_verdict(args, d.n, result.farkas, "cut cone", doc)
-    _emit_verdict(args, doc, lines)
+        doc["farkas"] = _emit_farkas(args, d.n, result.farkas)
+    _emit_doc(args, doc)
     return EXIT_MEMBER if result.feasible else EXIT_NON_MEMBER
 
 
@@ -273,17 +216,8 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
     if report.mismatch is not None:
         (i, j), got, want = report.mismatch
         doc["mismatch"] = {"i": i, "j": j, "reconstructed": _q(got), "expected": _q(want)}
-    _emit_verdict(args, doc, _verify_lines(report))
+    _emit_doc(args, doc)
     return EXIT_MEMBER if report.valid else EXIT_NON_MEMBER
-
-
-def _verify_lines(report: fullcut.CertificateReport) -> Iterator[str]:
-    yield "certificate valid" if report.valid else "certificate INVALID"
-    for c, w in report.negative_weights:
-        yield f"  negative weight {_q(w)} on cut {{{','.join(map(str, c.member_list))}}}"
-    if report.mismatch is not None:
-        (i, j), got, want = report.mismatch
-        yield f"  first mismatch at ({i},{j}): reconstructed {_q(got)}, expected {_q(want)}"
 
 
 def _cmd_sig_verify(args: argparse.Namespace) -> int:
@@ -299,16 +233,7 @@ def _cmd_sig_verify(args: argparse.Namespace) -> int:
         "missing_edges": [list(e) for e in report.missing_edges],
         "extra_edges": [list(e) for e in report.extra_edges],
     }
-    lines = [
-        "metric realizes the graph as its sphere-of-influence graph"
-        if report.matches
-        else "metric does NOT realize the graph"
-    ]
-    for i, j in report.missing_edges:
-        lines.append(f"  missing edge ({i},{j})")
-    for i, j in report.extra_edges:
-        lines.append(f"  extra edge ({i},{j})")
-    _emit_verdict(args, doc, lines)
+    _emit_doc(args, doc)
     return EXIT_MEMBER if report.matches else EXIT_NON_MEMBER
 
 
@@ -328,13 +253,7 @@ def _cmd_sig_star(args: argparse.Namespace) -> int:
         ],
         "metric": cio.metric_to_json(report.metric),
     }
-    lines = [
-        f"star with {report.leaves} leaves: metric is "
-        f"{'a valid' if report.sig_ok else 'NOT a'} sphere-of-influence realization",
-        "pair-cut cone: "
-        + ("member (unexpected)" if report.verdict.member else "non-member (as forced)"),
-    ]
-    _emit_verdict(args, doc, lines)
+    _emit_doc(args, doc)
     return EXIT_MEMBER if report.confirmed else EXIT_NON_MEMBER
 
 
@@ -353,27 +272,16 @@ def _dense_tokens(v: fullcut.KernelVector, length: int) -> list[str]:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     basis = fullcut.kernel_basis(args.n, **_max_n(args))
     length = (1 << args.n) - 2
-    if args.format == "json":
-        doc = {
-            "command": "kernel-basis",
-            "n": basis.n,
-            "dimension": basis.dimension,
-            "normative": basis.normative,
-            "vectors": [
-                {"label": v.label, "entries": _dense_tokens(v, length)}
-                for v in basis.vectors
-            ],
-        }
-        payload = cio.dumps_json(doc)
-    else:
-        lines = [
-            f"kernel basis for n={basis.n}: {basis.dimension} vectors"
-            + ("" if basis.normative else " (non-normative below n=5)")
-        ]
-        for v in basis.vectors:
-            lines.append(v.label + ": " + " ".join(_dense_tokens(v, length)))
-        payload = "\n".join(lines) + "\n"
-    _print_payload(payload, args.output)
+    doc = {
+        "command": "kernel-basis",
+        "n": basis.n,
+        "dimension": basis.dimension,
+        "normative": basis.normative,
+        "vectors": [
+            {"label": v.label, "entries": _dense_tokens(v, length)} for v in basis.vectors
+        ],
+    }
+    _emit_doc(args, doc, args.output)
     return EXIT_MEMBER
 
 

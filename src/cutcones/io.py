@@ -23,8 +23,10 @@ Formats:
 
 Every JSON document, in a file or on stdout, is written by dumps_json:
 byte for byte the layout of the stdlib's json.dumps with a two-space
-indent, one value per line.  Matrices dump to plain text, one row per
-line, entries as space-separated rational tokens.  Metrics, graphs and
+indent, one value per line.  dumps_text renders the same document as
+`key: value` lines for reading (the text mode of the verdict commands).
+Matrices dump to plain text, one row per line, entries as
+space-separated rational tokens.  Metrics, graphs and
 certificates are read back; Farkas vectors, points and matrices are
 only written.
 """
@@ -35,8 +37,7 @@ import functools
 import json
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import or_
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from cutcones.cut_algebra import Cut, RationalMatrix
 from cutcones.embeddings import PointSet
@@ -183,6 +184,44 @@ def dumps_json(doc: Any) -> str:
     return _encode(doc, 0) + "\n"
 
 
+def _flat(x: Any) -> str:
+    """A value on one line: a scalar as its JSON token without quotes, a
+    list as its items' tokens and an object as k=v pairs, space-separated."""
+    if type(x) is str:
+        return x
+    if isinstance(x, list):
+        return " ".join(map(_flat, x))
+    if isinstance(x, dict):
+        return " ".join(f"{k}={_flat(v)}" for k, v in x.items())
+    return json.dumps(x)
+
+
+def _text_lines(doc: dict[str, Any], indent: str) -> Iterator[str]:
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield f"{indent}{key}:"
+            yield from _text_lines(value, indent + "  ")
+        elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+            yield f"{indent}{key}:"
+            for item in value:
+                yield f"{indent}  {_flat(item)}"
+        else:
+            flat = _flat(value)
+            yield f"{indent}{key}: {flat}" if flat else f"{indent}{key}:"
+
+
+def dumps_text(doc: dict[str, Any]) -> str:
+    """doc as text: one `key: value` line per field, in document order.
+
+    A scalar prints as its JSON token without quotes (true, null, 7/30)
+    and a list of scalars as its tokens, space-separated (`key:` alone
+    when empty).  An object, or a list of containers, prints as `key:`
+    then one line per field or item, indented two more spaces; an object
+    item prints as k=v pairs and a list item as its tokens.
+    """
+    return "\n".join(_text_lines(doc, "")) + "\n"
+
+
 def _as_int(v: Any, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{what} must be an integer, got {v!r}")
@@ -285,21 +324,6 @@ class _Members(dict):
         return members
 
 
-class _VertexBits(dict):
-    """Vertex v in 1..n -> its bit 1 << (v - 1), filled on first use, so
-    a document pays only for the vertices it names, whatever its n."""
-
-    def __init__(self, n: int) -> None:
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        bit = self[v] = 1 << (v - 1)
-        return bit
-
-
 def certificate_to_json(cert: CutCertificate) -> dict[str, Any]:
     # a cut's members are those of its low half bits then of its high
     # half; the sum is a new list, so the document shares no table entry
@@ -327,7 +351,6 @@ def certificate_from_json(obj: Any) -> CutCertificate:
     items = obj.get("cuts")
     if not isinstance(items, list):
         raise ValueError("field 'cuts' must be a list")
-    bit = _VertexBits(n).__getitem__
     cuts = []
     weights = []
     for item in items:
@@ -338,7 +361,7 @@ def certificate_from_json(obj: Any) -> CutCertificate:
             # exact ints only: True and 1.0 would pass a lookup as vertex 1
             if not (isinstance(members, list) and _INT_TYPE.issuperset(map(type, members))):
                 raise ValueError(f"'members' must be a list of integer vertices, got {members!r}")
-            cut = Cut(n, functools.reduce(or_, map(bit, members), 0))
+            cut = Cut.from_members(n, members)
         elif "mask" in item:
             cut = Cut(n, _require_int(item, "mask"))
         else:

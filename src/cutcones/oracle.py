@@ -75,7 +75,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from cutcones.cut_algebra import RationalMatrix, combine_cuts, cut_masks
 from cutcones.metric import (
@@ -361,70 +361,45 @@ def random_rational(rng: random.Random, *, low: int, high: int, denom: int) -> F
     return Fraction(rng.randint(low * denom, high * denom), denom)
 
 
-def random_l1_points_metric(
-    n: int,
-    rng: random.Random,
-    *,
-    dim: int = 3,
-    coord_bound: int = 8,
-    denom: int = 4,
-) -> Metric:
-    """Metric of n random rational points under the l1 norm.
+def random_l1_points_metric(n: int, rng: random.Random) -> Metric:
+    """Metric of n random points of [0, 8]^3, coordinates in quarter
+    steps, under the l1 norm.
 
     Always embeds in l1 by construction, hence lies in the cut cone.
     """
-    pts = [
-        tuple(
-            random_rational(rng, low=0, high=coord_bound, denom=denom)
-            for _ in range(dim)
-        )
-        for _ in range(n)
-    ]
+    pts = [tuple(random_rational(rng, low=0, high=8, denom=4) for _ in range(3)) for _ in range(n)]
     return Metric.from_function(
         n, lambda i, j: sum(abs(a - b) for a, b in zip(pts[i - 1], pts[j - 1]))
     )
 
 
-def random_cut_combination(
-    n: int,
-    rng: random.Random,
-    *,
-    low: int = 0,
-    high: int = 3,
-    denom: int = 4,
+def _random_combination(
+    n: int, rng: random.Random, masks: Iterable[int], high: int, denom: int
 ) -> Metric:
-    """Nonnegative random combination of all nontrivial cut metrics.
-
-    In the cut cone by construction.  low/high bound each weight.
-    """
-    if low < 0:
-        raise ValueError("weights must stay nonnegative")
-    terms = [
-        (mask, random_rational(rng, low=low, high=high, denom=denom))
-        for mask in cut_masks(n)
-    ]
+    """Combination of the cut metrics of masks, each weight p/denom with
+    0 <= p/denom <= high."""
+    terms = [(mask, random_rational(rng, low=0, high=high, denom=denom)) for mask in masks]
     return Metric(n, combine_cuts(n, terms))
+
+
+def random_cut_combination(n: int, rng: random.Random) -> Metric:
+    """Nonnegative random combination of all nontrivial cut metrics,
+    weights in [0, 3] in quarter steps.
+
+    In the cut cone by construction.
+    """
+    return _random_combination(n, rng, cut_masks(n), high=3, denom=4)
 
 
 def random_paircut_combination(
-    n: int,
-    rng: random.Random,
-    *,
-    low: int = 0,
-    high: int = 3,
-    denom: int = 4,
+    n: int, rng: random.Random, *, high: int = 3, denom: int = 4
 ) -> Metric:
-    """Nonnegative random combination of pair-cut metrics only.
+    """Nonnegative random combination of pair-cut metrics only, weights
+    p/denom in [0, high].
 
     In the pair-cut cone (hence the cut cone) by construction.
     """
-    if low < 0:
-        raise ValueError("weights must stay nonnegative")
-    terms = [
-        (mask, random_rational(rng, low=low, high=high, denom=denom))
-        for mask in _pair_cut_masks(n)
-    ]
-    return Metric(n, combine_cuts(n, terms))
+    return _random_combination(n, rng, _pair_cut_masks(n), high, denom)
 
 
 def random_semimetric(

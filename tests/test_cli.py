@@ -88,14 +88,25 @@ def pair_cut_metric(n, *pairs_with_weights):
 def test_validate_valid_semimetric(cli, write, figure_eight_d0):
     code, out, _ = cli("validate", "--metric", write(figure_eight_d0))
     assert code == 0
-    assert out == "valid semi-metric on 7 vertices\n"
+    assert out == (
+        "command: validate\nn: 7\nstrict: false\nvalid: true\n"
+        "triangle_violations:\nnegative_entries:\nzero_entries:\n"
+    )
 
 
 def test_validate_triangle_violation(cli, write):
     code, out, _ = cli("validate", "--metric", write(metric_of_ints(3, [5, 1, 1])))
     assert code == 1
-    assert "INVALID" in out
-    assert "triangle (1,2;3) violated, slack -3" in out
+    assert out == (
+        "command: validate\n"
+        "n: 3\n"
+        "strict: false\n"
+        "valid: false\n"
+        "triangle_violations:\n"
+        "  i=1 j=2 k=3 slack=-3\n"
+        "negative_entries:\n"
+        "zero_entries:\n"
+    )
 
 
 def test_validate_strict_flags_zeros(cli, write):
@@ -104,14 +115,14 @@ def test_validate_strict_flags_zeros(cli, write):
     assert cli("validate", "--metric", path)[0] == 0
     code, out, _ = cli("validate", "--strict", "--metric", path)
     assert code == 1
-    assert "zero entry d(1,3)" in out
-    assert "strict metric" in out
+    assert out.endswith("zero_entries:\n  i=1 j=3\n  i=1 j=5\n  i=2 j=4\n  i=3 j=5\n")
+    assert {"strict: true", "valid: false"} <= set(out.splitlines())
 
 
 def test_validate_text_reports_negative_entry(cli, write):
     code, out, _ = cli("validate", "--metric", write(metric_of_ints(3, [-1, 1, 1])))
     assert code == 1
-    assert "  negative entry d(1,2) = -1\n" in out
+    assert "negative_entries:\n  i=1 j=2 value=-1\n" in out
 
 
 def test_validate_json_document(cli, write):
@@ -132,14 +143,14 @@ def test_validate_json_document(cli, write):
 
 def test_validate_reads_stdin(cli, figure_eight_d0):
     code, out, _ = cli("validate", stdin=cio.dumps_metric(figure_eight_d0))
-    assert code == 0 and "valid" in out
+    assert code == 0 and "valid: true" in out.splitlines()
 
 
 def test_stats_text_and_json(cli, write, figure_eight_d0):
     path = write(figure_eight_d0)
     code, out, _ = cli("stats", "--metric", path)
     assert code == 0
-    assert "n = 7" in out and "trace = 34" in out and "star trace s_1 = 8" in out
+    assert out == "command: stats\nn: 7\ntrace: 34\nstar_traces: 8 10 10 10 10 10 10\n"
     code, out, _ = cli("stats", "--format", "json", "--metric", path)
     doc = json.loads(out)
     assert doc["trace"] == "34"
@@ -153,16 +164,17 @@ def test_stats_text_and_json(cli, write, figure_eight_d0):
 def test_paircut_non_member_text(cli, write, figure_eight_d0):
     code, out, _ = cli("paircut", "--metric", write(figure_eight_d0))
     assert code == 1
-    assert "NOT a member of the pair-cut cone" in out
-    assert "pair (1,3) violated, slack -8/5" in out
-    assert "pair (1,6) violated, slack -8/5" in out
+    assert "member: false" in out.splitlines()
+    assert out.endswith("violations:\n  i=1 j=3 slack=-8/5\n  i=1 j=6 slack=-8/5\n")
 
 
 def test_paircut_member_text(cli, write, figure_eight_d1):
     code, out, _ = cli("paircut", "--metric", write(figure_eight_d1))
     assert code == 0
-    assert "member of the pair-cut cone" in out
-    assert "weights:" in out
+    lines = out.splitlines()
+    assert lines[:4] == ["command: paircut", "mode: closed-form", "n: 7", "member: true"]
+    assert lines[4].startswith("weights: ") and len(lines[4].split()) == 1 + 21
+    assert lines[5:] == ["violations:"]
 
 
 def test_paircut_json_document(cli, write, figure_eight_d0):
@@ -181,7 +193,7 @@ def test_paircut_small_n_routed_to_oracle(cli, write):
     d = Metric(4, (F(1),) * 6)
     code, out, _ = cli("paircut", "--metric", write(d))
     assert code == 0
-    assert "n = 4 < 5: routed to the exact oracle" in out
+    assert out.startswith("command: paircut\nmode: exact\nn: 4\nmember: true\n")
     code, out, _ = cli("paircut", "--format", "json", "--metric", write(d))
     assert json.loads(out)["mode"] == "exact"
 
@@ -258,17 +270,22 @@ def test_two_vertex_metric_is_rejected(cli, write, argv):
 def test_cutcone_sufficient_complete_graph(cli, write):
     code, out, _ = cli("cutcone", "sufficient", "--metric", write(Metric(5, (F(1),) * 10)))
     assert code == 0
-    assert "member of the cut cone (candidate decomposition is nonnegative)" in out
-    assert "cut {1} weight 1/22" in out
-    assert "cut {1,2} weight 3/44" in out
+    lines = out.splitlines()
+    assert lines[:8] == [
+        "command: cutcone", "mode: sufficient", "n: 5", "status: member", "failing_cuts:",
+        "certificate:", "  n: 5", "  cuts:",
+    ]
+    assert "    members=1 weight=1/22" in lines
+    assert "    members=1 2 weight=3/44" in lines
 
 
 def test_cutcone_sufficient_inconclusive(cli, write):
     d = truncated_metric(family("Q", 3))
     code, out, _ = cli("cutcone", "sufficient", "--metric", write(d))
     assert code == 2
-    assert "inconclusive: candidate decomposition has negative weights" in out
-    assert "failing cut" in out
+    lines = out.splitlines()
+    assert lines[3:6] == ["status: inconclusive", "failing_cuts:", "  1 4"]
+    assert "certificate:" not in lines
     code, out, _ = cli("cutcone", "sufficient", "--format", "json", "--metric", write(d))
     doc = json.loads(out)
     assert doc["status"] == "inconclusive"
@@ -285,7 +302,7 @@ def test_cutcone_sufficient_certificate_round_trip(cli, write, tmp_path):
     assert code == 0
     code, out, _ = cli("verify-cert", "--cert", str(cert_path), "--metric", metric_path)
     assert code == 0
-    assert out == "certificate valid\n"
+    assert out == "command: verify-cert\nn: 6\nvalid: true\nnegative_weights:\n"
 
 
 def test_cutcone_exact_member_with_certificate(cli, write, tmp_path):
@@ -296,7 +313,7 @@ def test_cutcone_exact_member_with_certificate(cli, write, tmp_path):
         "--emit-certificate", str(cert_path),
     )
     assert code == 0
-    assert "member of the cut cone" in out
+    assert "member: true" in out.splitlines()
     assert cli("verify-cert", "--cert", str(cert_path), "--metric", metric_path)[0] == 0
 
 
@@ -310,7 +327,19 @@ def test_cutcone_exact_member_never_enumerates_cut_objects(cli, write, monkeypat
         if hasattr(module, "enumerate_cuts"):
             monkeypatch.setattr(module, "enumerate_cuts", spy)
     code, out, _ = cli("cutcone", "exact", "--metric", write(graph_metric(family("C", 6))))
-    assert code == 0 and "member of the cut cone" in out
+    assert code == 0
+    assert out == (
+        "command: cutcone\n"
+        "mode: exact\n"
+        "n: 6\n"
+        "member: true\n"
+        "certificate:\n"
+        "  n: 6\n"
+        "  cuts:\n"
+        "    members=1 2 3 weight=1\n"
+        "    members=1 2 6 weight=1\n"
+        "    members=1 5 6 weight=1\n"
+    )
     assert calls == []
 
 
@@ -327,16 +356,18 @@ def test_cutcone_converts_the_certificate_once_and_only_when_printed(
 
     monkeypatch.setattr(cio, "certificate_to_json", counted)
     path = write(graph_metric(family("K", 5)))
-    assert cli("cutcone", mode, "--metric", path)[0] == 0
-    assert calls == []
+    # both renderings print the certificate, so every member run converts it once
+    code, text, _ = cli("cutcone", mode, "--metric", path)
+    assert code == 0 and len(calls) == 1
     emitted = tmp_path / "cert.json"
     code, out, _ = cli(
         "cutcone", mode, "--format", "json", "--metric", path, "--emit-certificate", str(emitted)
     )
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 2
     assert emitted.read_text() == json.dumps(json.loads(out)["certificate"], indent=2) + "\n"
     code, out, _ = cli("cutcone", mode, "--metric", path, "--emit-certificate", str(emitted))
-    assert code == 0 and len(calls) == 2 and out.startswith("member of the cut cone")
+    assert code == 0 and len(calls) == 3 and out == text
+    assert "certificate:" in out.splitlines()
 
 
 def test_cutcone_exact_non_member_farkas(cli, write, tmp_path):
@@ -346,10 +377,11 @@ def test_cutcone_exact_non_member_farkas(cli, write, tmp_path):
         "cutcone", "exact", "--metric", write(d), "--emit-farkas", str(fk)
     )
     assert code == 1
-    assert "NOT a member of the cut cone" in out
-    assert "farkas:" in out
+    lines = out.splitlines()
+    assert lines[3] == "member: false"
     doc = json.loads(fk.read_text())
     assert doc["n"] == 5 and len(doc["farkas"]) == 10
+    assert lines[4:] == ["farkas: " + " ".join(doc["farkas"])]
 
 
 def test_cutcone_exact_rejects_over_cap(cli, write):
@@ -389,7 +421,7 @@ def test_cutcone_exact_certificate_keeps_a_lifted_cap(cli, write, monkeypatch):
     )
     code, out, err = cli("cutcone", "exact", "--max-n", "17", "--metric", write(d))
     assert (code, err) == (0, "")
-    assert "member of the cut cone" in out
+    assert out.endswith("member: true\ncertificate:\n  n: 17\n  cuts:\n    members=1 weight=1\n")
 
 
 def test_cutcone_requires_mode(cli, write):
@@ -408,8 +440,17 @@ def test_verify_cert_detects_tampering(cli, write):
     )
     code, out, _ = cli("verify-cert", "--cert", write(tampered), "--metric", write(good))
     assert code == 1
-    assert "certificate INVALID" in out
-    assert "first mismatch at (1,2): reconstructed 3/2, expected 1" in out
+    assert out == (
+        "command: verify-cert\n"
+        "n: 5\n"
+        "valid: false\n"
+        "negative_weights:\n"
+        "mismatch:\n"
+        "  i: 1\n"
+        "  j: 2\n"
+        "  reconstructed: 3/2\n"
+        "  expected: 1\n"
+    )
 
 
 def test_verify_cert_reports_negative_weights(cli, write):
@@ -428,7 +469,7 @@ def test_verify_cert_reports_negative_weights(cli, write):
     assert doc["negative_weights"] == [{"members": [1], "weight": "-1/2"}]
     code, out, _ = cli("verify-cert", "--cert", write(cert), "--metric", write(d))
     assert code == 1
-    assert "  negative weight -1/2 on cut {1}\n" in out
+    assert "negative_weights:\n  members=1 weight=-1/2\n" in out
 
 
 @pytest.mark.parametrize("members", ['["1"]', "[1.5]", "[true]"], ids=["string", "decimal", "bool"])
@@ -447,10 +488,13 @@ def test_kernel_basis_text_n4(cli):
     code, out, _ = cli("kernel", "basis", "--n", "4")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "kernel basis for n=4: 8 vectors (non-normative below n=5)"
-    assert lines[1] == "phi_1: 1 0 0 0 0 0 0 0 0 0 0 0 0 -1"
-    assert any(line.startswith("psi_{1,2,3}:") for line in lines)
-    assert lines[-1].startswith("psi_{1,2,3,4}:")
+    assert lines[:5] == [
+        "command: kernel-basis", "n: 4", "dimension: 8", "normative: false", "vectors:",
+    ]
+    assert lines[5] == "  label=phi_1 entries=1 0 0 0 0 0 0 0 0 0 0 0 0 -1"
+    assert any(line.startswith("  label=psi_{1,2,3} entries=") for line in lines)
+    assert lines[-1].startswith("  label=psi_{1,2,3,4} entries=")
+    assert len(lines) == 5 + 8
 
 
 def test_kernel_basis_json_n5(cli):
@@ -468,7 +512,7 @@ def test_kernel_basis_output_file(cli, tmp_path):
     out_path = tmp_path / "kernel.txt"
     code, out, _ = cli("kernel", "basis", "--n", "4", "-o", str(out_path))
     assert code == 0 and out == ""
-    assert "phi_1:" in out_path.read_text()
+    assert out_path.read_text() == cli("kernel", "basis", "--n", "4")[1]
 
 
 def test_kernel_basis_rejects_tiny_n(cli):
@@ -534,22 +578,33 @@ def test_sig_verify_match_and_mismatch(cli, write, figure_eight, figure_eight_d0
     graph_path = write(figure_eight)
     code, out, _ = cli("sig", "verify", "--metric", write(figure_eight_d0), "--graph", graph_path)
     assert code == 0
-    assert "realizes the graph" in out
+    assert out.splitlines()[:3] == ["command: sig-verify", "n: 7", "matches: true"]
     code, out, _ = cli(
         "sig", "verify",
         "--metric", write(Metric(5, (F(1),) * 10)),
         "--graph", write(family("C", 5)),
     )
     assert code == 1
-    assert "does NOT realize" in out
-    assert "extra edge" in out
+    assert out == (
+        "command: sig-verify\n"
+        "n: 5\n"
+        "matches: false\n"
+        "radii: 1 1 1 1 1\n"
+        "missing_edges:\n"
+        "extra_edges:\n"
+        "  1 3\n  1 4\n  2 4\n  2 5\n  3 5\n"
+    )
 
 
 def test_sig_star_obstruction_confirmed(cli):
     code, out, _ = cli("sig", "star-obstruction", "--n", "4", "--a", "1", "1", "1", "1")
     assert code == 0
-    assert "star with 4 leaves" in out
-    assert "non-member (as forced)" in out
+    lines = out.splitlines()
+    assert lines[:6] == [
+        "command: sig-star-obstruction", "leaves: 4", "n: 5", "sig_ok: true", "member: false",
+        "confirmed: true",
+    ]
+    assert lines[-3:] == ["metric:", "  n: 5", "  d: 1 1 1 1 2 2 2 2 2 2"]
 
 
 def test_sig_star_obstruction_fraction_lengths(cli):
@@ -608,7 +663,20 @@ def test_family_piped_into_paircut(cli):
     _, metric_json, _ = cli("family", "gen", "Q", "3", "--metric", "d0")
     code, out, _ = cli("paircut", stdin=metric_json)
     assert code == 1
-    assert "NOT a member" in out
+    assert out == (
+        "command: paircut\n"
+        "mode: closed-form\n"
+        "n: 8\n"
+        "member: false\n"
+        "weights: 5/12 5/12 -1/12 5/12 -1/12 -1/12 -1/12 -1/12 5/12 -1/12 5/12 -1/12 -1/12 5/12"
+        " -1/12 -1/12 5/12 -1/12 -1/12 -1/12 -1/12 5/12 5/12 5/12 -1/12 -1/12 5/12 5/12\n"
+        "violations:\n"
+        + "".join(
+            f"  i={i} j={j} slack=-2/3\n"
+            for i, j in ((1, 4), (1, 6), (1, 7), (1, 8), (2, 3), (2, 5), (2, 7), (2, 8),
+                         (3, 5), (3, 6), (3, 8), (4, 5), (4, 6), (4, 7), (5, 8), (6, 7))
+        )
+    )
 
 
 def test_module_entry_point(cli):
@@ -621,7 +689,7 @@ def test_module_entry_point(cli):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.startswith("member of the pair-cut cone\n")
+    assert proc.stdout.startswith("command: paircut\nmode: closed-form\nn: 5\nmember: true\n")
 
 
 def test_matrix_dump_square_n4(cli):
@@ -742,11 +810,11 @@ def test_consecutive_calls_share_no_state(cli, write):
     code, out, _ = cli("stats", "--format", "json", "--metric", path)
     assert code == 0 and json.loads(out)["command"] == "stats"
     code, out, _ = cli("stats", "--metric", path)
-    assert code == 0 and out.startswith("n = 5\n")
+    assert code == 0 and out.startswith("command: stats\nn: 5\n")
     d = write(truncated_metric(family("B", 2, 3)))
     assert cli("paircut", "exact", "--max-n", "4", "--metric", d)[0] == 3
     code, out, _ = cli("paircut", "exact", "--metric", d)
-    assert code == 1 and "NOT a member" in out
+    assert code == 1 and "member: false" in out.splitlines()
 
 
 def test_format_flag_follows_the_subcommand(cli, write):
@@ -948,6 +1016,44 @@ def test_every_json_document_has_the_indent2_layout(cli, write, tmp_path, name):
     assert_indent2_layout(out)
     if "{out}" in LAYOUT_COMMANDS[name]:
         assert_indent2_layout((tmp_path / "emitted.json").read_text())
+
+
+# ---------------------------------------------------------------------------
+# text mode renders the very document JSON mode prints
+
+
+DRIFT_COMMANDS = {
+    "validate": ("validate", "--strict", "--metric", "{non_member}"),
+    "stats": ("stats", "--metric", "{member}"),
+    "paircut-closed-form": ("paircut", "--metric", "{cube}"),
+    "paircut-exact": ("paircut", "exact", "--metric", "{non_member}"),
+    "cutcone-sufficient-member": ("cutcone", "sufficient", "--metric", "{complete}"),
+    "cutcone-sufficient-inconclusive": ("cutcone", "sufficient", "--metric", "{cube}"),
+    "cutcone-exact-member": ("cutcone", "exact", "--metric", "{member}"),
+    "cutcone-exact-non-member": ("cutcone", "exact", "--metric", "{non_member}"),
+    "verify-cert-valid": ("verify-cert", "--cert", "{cert}", "--metric", "{member}"),
+    "verify-cert-invalid": ("verify-cert", "--cert", "{cert}", "--metric", "{non_member}"),
+    "sig-verify": ("sig", "verify", "--metric", "{member}", "--graph", "{graph}"),
+    "sig-star-obstruction": ("sig", "star-obstruction", "--n", "4", "--a", "1", "2", "1/2", "3"),
+    "kernel-basis": ("kernel", "basis", "--n", "5"),
+}
+
+
+@pytest.mark.parametrize("name", list(DRIFT_COMMANDS))
+def test_text_output_renders_the_json_document(cli, write, name):
+    paths = {
+        "member": write(truncated_metric(path_graph(5))),
+        "cert": write(path_certificate()),
+        "non_member": write(truncated_metric(family("B", 2, 3))),
+        "complete": write(graph_metric(family("K", 5))),
+        "cube": write(truncated_metric(family("Q", 3))),
+        "graph": write(family("C", 5)),
+    }
+    argv = [arg.format(**paths) for arg in DRIFT_COMMANDS[name]]
+    code, text, err = cli(*argv)
+    assert code in (0, 1, 2), err
+    json_code, out, _ = cli(*argv, "--format", "json")
+    assert json_code == code and text == cio.dumps_text(json.loads(out))
 
 
 # ---------------------------------------------------------------------------

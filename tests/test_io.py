@@ -19,6 +19,7 @@ from cutcones.io import (
     dumps_json,
     dumps_metric,
     dumps_points,
+    dumps_text,
     farkas_to_json,
     format_rational,
     graph_from_json,
@@ -440,6 +441,36 @@ def test_dumps_json_without_the_c_encoder(monkeypatch):
     )
     monkeypatch.setattr(cio, "c_make_encoder", None)
     assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dumps_text_renders_one_line_per_field():
+    doc = {
+        "command": "demo",
+        "member": True,
+        "bound": None,
+        "weights": ["7/30", 2],
+        "empty": [],
+        "nested": {"n": 3, "d": [1, "1/2", 1], "none": []},
+        "items": [{"members": [1, 2], "weight": "-1/2"}, {"members": [], "weight": 0}],
+        "pairs": [[1, 3], [2]],
+    }
+    assert dumps_text(doc) == (
+        "command: demo\n"
+        "member: true\n"
+        "bound: null\n"
+        "weights: 7/30 2\n"
+        "empty:\n"
+        "nested:\n"
+        "  n: 3\n"
+        "  d: 1 1/2 1\n"
+        "  none:\n"
+        "items:\n"
+        "  members=1 2 weight=-1/2\n"
+        "  members= weight=0\n"
+        "pairs:\n"
+        "  1 3\n"
+        "  2\n"
+    )
 
 
 def test_a_writer_that_checks_only_the_first_item_fails_the_property(monkeypatch):

@@ -693,11 +693,3 @@ def test_semimetric_generator_satisfies_triangles():
     for n in (4, 6, 8):
         d = random_semimetric(n, rng)
         assert validate_metric(d).valid
-
-
-def test_generators_reject_negative_weight_ranges():
-    rng = random.Random(11)
-    with pytest.raises(ValueError):
-        random_cut_combination(5, rng, low=-1)
-    with pytest.raises(ValueError):
-        random_paircut_combination(5, rng, low=-2)
