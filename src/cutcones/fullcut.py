@@ -32,10 +32,13 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, combine_cuts, cut_masks, cut_traces
+from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, _table_cut_sum, combine_cuts, cut_masks, cut_traces
 from cutcones.metric import Metric, integer_entries, num_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
+
+# kernel_basis writes 4^n dense entries, so its cap sits below DEFAULT_MAX_N
+DEFAULT_KERNEL_MAX_N = 12
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +196,19 @@ def sufficient_condition(
     Checks s_C >= |C|(n-|C|) Tr(d)/(m+1) over the 2^{n-1} - 1
     complement-class representatives (cuts containing vertex 1); the
     slack is invariant under complementation.  If all pass, d is in
-    the cut cone and the candidate weights form a certificate.
+    the cut cone and the candidate weights form a certificate.  It is
+    re-checked in integers first, RuntimeError if it fails: sum of
+    slack_C delta(C) must be (m+1) 2^{n-2} d, cleared as in _slacks.
     """
     n = d.n
     masks, slacks, den = _slacks(d, max_n)
     failing = tuple(Cut(n, mask) for mask, s in zip(masks, slacks) if s < 0 and mask & 1)
     cert = None
     if not failing:
+        _, dd = integer_entries(d.d)
+        factor = (num_pairs(n) + 1) << (n - 2)
+        if any(s < 0 for s in slacks) or _table_cut_sum(n, masks, slacks) != [x * factor for x in dd]:
+            raise RuntimeError("sufficient-condition certificate fails its re-check")
         den <<= n - 2
         cert = _certificate(n, masks, [Fraction(s, den) for s in slacks])
     return SufficiencyVerdict(
@@ -308,7 +317,7 @@ def psi_vector(
     return KernelVector(label=label, kind="psi", entries=tuple(entries))
 
 
-def kernel_basis(n: int, *, max_n: int = DEFAULT_MAX_N) -> KernelBasis:
+def kernel_basis(n: int, *, max_n: int = DEFAULT_KERNEL_MAX_N) -> KernelBasis:
     """Kernel basis of the full cut-matrix: the phi and psi vectors.
 
     For n >= 5 the 2^n - 2 - m vectors are linearly independent and

@@ -22,8 +22,7 @@ Formats:
   points       {"norm": "l1", "points": [["0", "1/2"], ...]}
 
 Every JSON document, in a file or on stdout, is written by dumps_json:
-byte for byte the layout of the stdlib's json.dumps with a two-space
-indent, one value per line.  dumps_text renders the same document as
+json.dumps(doc) on one line.  dumps_text renders the same document as
 `key: value` lines for reading (the text mode of the verdict commands).
 Matrices dump to plain text, one row per line, entries as
 space-separated rational tokens.  Metrics, graphs and
@@ -33,10 +32,8 @@ only written.
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
 from cutcones.cut_algebra import Cut, RationalMatrix
@@ -128,60 +125,9 @@ def loads_json(text: str) -> Any:
         raise ValueError("JSON document nested too deeply") from None
 
 
-# Items of these exact types are encoded by the C encoder in one call.
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
-@functools.cache
-def _layout(depth: int) -> tuple[Any, str, str, str]:
-    """For a container at nesting depth `depth`: the C encoder of it when
-    its items are all scalars (the item separator carries the items'
-    indent), the item separator, and the whitespace after its opening
-    and before its closing bracket."""
-    indent = "\n" + "  " * (depth + 1)
-    flat = c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ": ", "," + indent, False, False, True,
-    )
-    return flat, "," + indent, indent, "\n" + "  " * depth
-
-
-def _encode(x: Any, depth: int) -> str:
-    if type(x) is str:
-        return encode_basestring_ascii(x)
-    if type(x) is int:
-        return int.__repr__(x)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        flat, sep, head, tail = _layout(depth)
-        if _SCALAR_TYPES.issuperset(map(type, x.values())):
-            return "{" + head + "".join(flat(x, depth))[1:-1] + tail + "}"
-        body = sep.join([
-            encode_basestring_ascii(k) + ": " + _encode(v, depth + 1) for k, v in x.items()
-        ])
-        return "{" + head + body + tail + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        flat, sep, head, tail = _layout(depth)
-        if _SCALAR_TYPES.issuperset(map(type, x)):
-            return "[" + head + "".join(flat(x, depth))[1:-1] + tail + "]"
-        return "[" + head + sep.join([_encode(v, depth + 1) for v in x]) + tail + "]"
-    return json.dumps(x)
-
-
 def dumps_json(doc: Any) -> str:
-    """json.dumps(doc, indent=2) + "\n", byte for byte, at C speed.
-
-    Each container whose items are all scalars is encoded in one call of
-    the stdlib C encoder; Python recursion runs only over containers that
-    hold containers.  Dict keys must be strings.  Without the C
-    accelerator this is json.dumps itself.
-    """
-    if c_make_encoder is None:
-        return json.dumps(doc, indent=2) + "\n"
-    return _encode(doc, 0) + "\n"
+    """json.dumps(doc) + "\n": the stdlib default layout, on one line."""
+    return json.dumps(doc) + "\n"
 
 
 def _flat(x: Any) -> str:

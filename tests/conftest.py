@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutcones import fullcut
 from cutcones.metric import Metric
 from cutcones.sig import SimpleGraph, graph_metric, truncated_metric
 
@@ -33,3 +34,17 @@ def figure_eight_d1(figure_eight) -> Metric:
 def metric_of_ints(n: int, values) -> Metric:
     """Build a Metric from plain integers (lexicographic pair order)."""
     return Metric(n, tuple(Fraction(v) for v in values))
+
+
+def raise_one_cut_trace(monkeypatch) -> None:
+    """Mutant of the sufficient condition: the trace of cut {1} comes out
+    one too high.  On K_n every slack stays positive, so only the
+    certificate's re-check can tell."""
+    traces = fullcut.cut_traces
+
+    def raised(n, values):
+        table = traces(n, values)
+        table[1] += 1
+        return table
+
+    monkeypatch.setattr(fullcut, "cut_traces", raised)

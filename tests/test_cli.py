@@ -24,7 +24,7 @@ from cutcones.metric import Metric
 from cutcones.paircut import paircut_membership
 from cutcones.sig import SimpleGraph, family, graph_metric, path_graph, truncated_metric
 
-from conftest import metric_of_ints
+from conftest import metric_of_ints, raise_one_cut_trace
 
 F = Fraction
 
@@ -364,7 +364,7 @@ def test_cutcone_converts_the_certificate_once_and_only_when_printed(
         "cutcone", mode, "--format", "json", "--metric", path, "--emit-certificate", str(emitted)
     )
     assert code == 0 and len(calls) == 2
-    assert emitted.read_text() == json.dumps(json.loads(out)["certificate"], indent=2) + "\n"
+    assert emitted.read_text() == json.dumps(json.loads(out)["certificate"]) + "\n"
     code, out, _ = cli("cutcone", mode, "--metric", path, "--emit-certificate", str(emitted))
     assert code == 0 and len(calls) == 3 and out == text
     assert "certificate:" in out.splitlines()
@@ -517,6 +517,18 @@ def test_kernel_basis_output_file(cli, tmp_path):
 
 def test_kernel_basis_rejects_tiny_n(cli):
     assert cli("kernel", "basis", "--n", "2")[0] == 3
+
+
+def test_kernel_basis_caps_n_at_12_before_any_work(cli, monkeypatch):
+    # 4^n dense entries: n = 13 would write about 330 MB
+    def forbidden(*_):
+        raise AssertionError("psi_vector called")
+
+    monkeypatch.setattr(fullcut, "psi_vector", forbidden)
+    start = time.perf_counter()
+    code, out, err = cli("kernel", "basis", "--n", "13", "--format", "json")
+    assert code == 3 and out == "" and "maximum 12" in err
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +801,9 @@ def test_deeply_nested_json_is_an_input_error(cli, write):
         ("cutcone", "_check_farkas", truncated_metric(family("B", 2, 3))),
         ("paircut", "_check_witness", Metric(5, cut_metric_vector(Cut.from_members(5, (1, 2))))),
         ("paircut", "_check_farkas", truncated_metric(family("B", 2, 3))),
+        ("cutcone", None, graph_metric(family("K", 5))),
     ],
-    ids=["witness", "farkas", "paircut-witness", "paircut-farkas"],
+    ids=["witness", "farkas", "paircut-witness", "paircut-farkas", "sufficient"],
 )
 def test_failed_certificate_recheck_is_an_internal_error(
     cli, write, monkeypatch, command, check, d
@@ -799,8 +812,12 @@ def test_failed_certificate_recheck_is_an_internal_error(
     def fail(*args):
         raise RuntimeError("certificate fails its re-check")
 
-    monkeypatch.setattr(oracle, check, fail)
-    code, out, err = cli(command, "exact", "--metric", write(d))
+    if check is None:
+        raise_one_cut_trace(monkeypatch)
+        code, out, err = cli(command, "sufficient", "--metric", write(d))
+    else:
+        monkeypatch.setattr(oracle, check, fail)
+        code, out, err = cli(command, "exact", "--metric", write(d))
     assert code == EXIT_INTERNAL
     assert out == "" and "fails its re-check" in err
 
@@ -952,7 +969,7 @@ def test_embed_l1_certificate_and_metric_cannot_both_read_stdin(cli):
 
 
 # ---------------------------------------------------------------------------
-# every JSON document, on stdout or in a file, has the indent=2 layout
+# every JSON document, on stdout or in a file, is json.dumps on one line
 
 
 LAYOUT_COMMANDS = {
@@ -996,12 +1013,14 @@ LAYOUT_COMMANDS = {
 }
 
 
-def assert_indent2_layout(text):
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+def assert_one_line_layout(text):
+    assert text == json.dumps(json.loads(text)) + "\n"
 
 
 @pytest.mark.parametrize("name", list(LAYOUT_COMMANDS))
 def test_every_json_document_has_the_indent2_layout(cli, write, tmp_path, name):
+    # named for the indent=2 layout this pinned before; the name keeps the
+    # test ids stable, and the check is now the one-line layout
     paths = {
         "member": write(truncated_metric(path_graph(5))),
         "cert": write(path_certificate()),
@@ -1013,9 +1032,9 @@ def test_every_json_document_has_the_indent2_layout(cli, write, tmp_path, name):
     argv = [arg.format(**paths) for arg in LAYOUT_COMMANDS[name]]
     code, out, err = cli(*argv)
     assert code in (0, 1, 2), err
-    assert_indent2_layout(out)
+    assert_one_line_layout(out)
     if "{out}" in LAYOUT_COMMANDS[name]:
-        assert_indent2_layout((tmp_path / "emitted.json").read_text())
+        assert_one_line_layout((tmp_path / "emitted.json").read_text())
 
 
 # ---------------------------------------------------------------------------

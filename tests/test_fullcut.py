@@ -25,7 +25,7 @@ from cutcones.metric import Metric, num_pairs, split_pairs, summarize
 from cutcones.oracle import random_cut_combination, random_semimetric
 from cutcones.sig import cocktail_party_graph, path_graph, truncated_metric, hypercube_graph
 
-from conftest import metric_of_ints
+from conftest import metric_of_ints, raise_one_cut_trace
 from exact_rank import apply_full_cut_matrix, matrix_rank
 
 F = Fraction
@@ -236,6 +236,17 @@ def test_sufficient_iterates_complement_representatives():
     assert len(negative) == 2 * len(verdict.failing)
 
 
+@pytest.mark.parametrize("n", [5, 13])
+def test_sufficient_rechecks_its_certificate(n, monkeypatch):
+    d = metric_of_ints(n, [1] * num_pairs(n))
+    assert sufficient_condition(d).status == "member"
+    raise_one_cut_trace(monkeypatch)
+    _, slacks, _ = fullcut._slacks(d, n)
+    assert min(slacks) > 0
+    with pytest.raises(RuntimeError, match="fails its re-check"):
+        sufficient_condition(d)
+
+
 def test_sufficient_rejects_tiny_input():
     with pytest.raises(ValueError):
         sufficient_condition(Metric(2, (F(1),)))
@@ -421,3 +432,6 @@ def test_kernel_respects_size_guard():
         kernel_basis(2)
     with pytest.raises(ValueError):
         kernel_basis(8, max_n=7)
+    # 4^n dense entries: the default cap is 12, below the shared 16
+    with pytest.raises(ValueError, match="maximum 12"):
+        kernel_basis(13)
