@@ -31,7 +31,10 @@ the entering column and the pivot row are decoded, by adding 2^(W-1)
 to every slot and shifting and masking.  Every entry of R and R A_j is
 a minor of order <= m of [A | I], so Hadamard's inequality fixes W:
 the product of the m largest squared column norms, each floored at 1
-(the norm of an identity column), is below 2^(2W-2).  The basic values
+(the norm of an identity column), is below 2^(2W-2).  When every
+column is 0/1 such a minor is a 0/1 determinant of order <= m, at most
+(m+1)^((m+1)/2) / 2^m, and W takes the smaller bound (84 bits instead
+of 106 for the cut cone at n=10; see _slot_width).  The basic values
 and v are updated entry by entry, by the same exact divisions, and the
 ratio test compares quotients by cross-multiplication.  The pivots are
 those a dense Fraction tableau [A | I] would take: scaling A and d by
@@ -41,8 +44,8 @@ vector.
 One front end, `_solve`, takes integer sparse columns A = s M (s > 0)
 and the unscaled d, clears d of denominators, runs `_phase_one`, and
 rescales and re-checks the certificate.  lp_feasibility scales a
-general RationalMatrix.  The cone verdicts build each 0/1 column
-delta(mask) from a vertex bitmask with split_pairs (s = 1):
+general RationalMatrix.  The cone verdicts take each 0/1 column
+delta(mask) of a vertex bitmask, built with split_pairs (s = 1):
 paircut_membership_exact passes the pair cuts {i, j} in vertex_pairs
 order, and cutcone_membership one cut per complement pair (both give
 the same column), the first in enumerate_cuts order, i.e. the first
@@ -50,7 +53,19 @@ the same column), the first in enumerate_cuts order, i.e. the first
 profit of its kept twin, which has a smaller index, so Bland's rule
 would never let it enter (and it is never basic): the pivots and
 certificates are those over all 2^n - 2 columns, and the dropped cuts
-get witness weight 0.
+get witness weight 0.  Each cone's columns, its vertex stars and its
+slot width are built once per n, on first use, and kept in a small
+lru_cache (`_cut_cone`).
+
+Both cones open with their small cuts: cut_masks is graded, so the cut
+cone's first columns are the n singletons and then the pairs, and
+every pair-cut column is a pair.  `_phase_one` prices these from the
+star sums s_a = sum_b v_ab, computed once per pivot: v . delta(S) =
+sum_{a in S} s_a - 2 sum_{a < b in S} v_ab, one lookup for a singleton
+and three for a pair.  That is the same integer as the sparse dot
+product, taken in the same order, so Bland's rule picks the same
+column; larger cuts, and the columns of lp_feasibility, keep the
+sparse dot product.
 
 Bland's rule guarantees termination, and exact arithmetic makes the
 verdict a proof once the certificate has been re-checked against the
@@ -73,9 +88,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 from math import isqrt, prod
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from cutcones.cut_algebra import RationalMatrix, combine_cuts, cut_masks
 from cutcones.metric import (
@@ -124,25 +141,81 @@ def _slot_width(columns: Sequence[Column], m: int) -> int:
     The artificial columns have norm 1, so each of the m largest norms
     of A is floored at 1; without the floor a zero column among them
     would make the bound 0.
+
+    When every column is 0/1 the bound is also at most
+    (m+1)^(m+1) / 4^m, whichever is smaller.  Expanding a minor of
+    [A | diag(sign)] along its unit columns leaves, up to sign, a 0/1
+    determinant of some order k <= m (or 1 for k = 0).  Bordering a
+    k x k 0/1 matrix and doubling it gives a (k+1) x (k+1) +-1 matrix
+    with 2^k times its determinant (the correspondence behind
+    Brenner-Cummings, Amer. Math. Monthly 1972), so Hadamard's
+    inequality bounds it by (k+1)^((k+1)/2) / 2^k, which does not
+    decrease with k.
     """
     norms = (len(rows) if vals is None else sum(x * x for x in vals) for rows, vals in columns)
     bound = prod(max(x, 1) for x in sorted(norms, reverse=True)[:m])
+    if all(vals is None for _, vals in columns):
+        bound = min(bound, (m + 1) ** (m + 1) // 4**m)
     return (isqrt(bound) + 1).bit_length() + 1
 
 
-def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult:
+class _CutCone(NamedTuple):
+    """The 0/1 columns of one cone of cut metrics at one n, and what
+    star pricing reads from them.
+
+    Columns 0 .. singles-1 are the cuts {1}, ..., {singles}; the next
+    len(ends) columns are the pair cuts {a+1, b+1} for (a, b) in ends,
+    the p-th of them on pair p of vertex_pairs order.  stars[a] holds
+    the indices of the pairs at vertex a + 1.
+    """
+
+    columns: tuple[Column, ...]
+    stars: tuple[tuple[int, ...], ...]
+    singles: int
+    ends: tuple[tuple[int, int], ...]
+    width: int
+
+
+def _star_price(cone: _CutCone, v: Sequence[int]) -> tuple[int, int]:
+    """Bland's rule over the cone's leading singleton and pair cuts:
+    (index, reduced profit) of the first with positive profit, else
+    (-1, 0).
+
+    With the star sums s_a = sum_b v_ab, a cut S has the profit
+    v . delta(S) = sum_{a in S} s_a - 2 sum_{a < b in S} v_ab, the same
+    integer as the sparse dot product: one lookup for a singleton and
+    three for a pair, after n star sums per pivot.
+    """
+    get = v.__getitem__
+    star = [sum(map(get, rows)) for rows in cone.stars]
+    for a in range(cone.singles):
+        if star[a] > 0:
+            return a, star[a]
+    for p, (a, b) in enumerate(cone.ends):
+        profit = star[a] + star[b] - 2 * v[p]
+        if profit > 0:
+            return cone.singles + p, profit
+    return -1, 0
+
+
+def _phase_one(
+    columns: Sequence[Column], b: Sequence[int], cone: _CutCone | None = None
+) -> FeasibilityResult:
     """Decide A w = b, w >= 0 for integer A (given by its columns) and b.
 
     The witness is over `columns` and the Farkas vector y has
     y . A_j <= 0 for every column and y . b > 0; neither is checked
-    here.
+    here.  `cone`, when given, describes `columns` (they are
+    cone.columns): its small cuts are priced from vertex stars and its
+    slot width is not recomputed.  The pivots are the same either way.
     """
     m, ncols = len(b), len(columns)
     sign = [-1 if x < 0 else 1 for x in b]
     # Entry i of a packed column sits in bits [W i, W i + W).  Adding
     # `bias` (half in every slot) makes every slot nonnegative, so a
     # slot decodes by shift and mask without borrows from below.
-    width = _slot_width(columns, m)
+    width = _slot_width(columns, m) if cone is None else cone.width
+    start = 0 if cone is None else cone.singles + len(cone.ends)
     shifts = range(0, width * m, width)
     half = 1 << (width - 1)
     mask = (1 << width) - 1
@@ -157,14 +230,20 @@ def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult
     pivots = 0
 
     while True:
-        # Bland: the first column with positive reduced profit.  An
-        # artificial column costs 1, so its profit is sign_k y_k - 1.
-        get = v.__getitem__
-        for enter, column in enumerate(columns):
-            profit = _dot(column, get)
-            if profit > 0:
-                packed = _dot(column, inv.__getitem__)
-                break
+        # Bland: the first column with positive reduced profit, the
+        # cone's small cuts from vertex stars, the rest (from `start`)
+        # by sparse dot products.  An artificial column costs 1, so its
+        # profit is sign_k y_k - 1.
+        enter, profit = (-1, 0) if cone is None else _star_price(cone, v)
+        if enter < 0:
+            get = v.__getitem__
+            for j, (rows, vals) in enumerate(islice(columns, start, None), start):
+                profit = sum(map(get, rows)) if vals is None else sum(map(mul, vals, map(get, rows)))
+                if profit > 0:
+                    enter = j
+                    break
+        if enter >= 0:
+            packed = _dot(columns[enter], inv.__getitem__)
         else:
             k = next((k for k in range(m) if sign[k] * v[k] > denom), None)
             if k is None:
@@ -226,12 +305,14 @@ def _phase_one(columns: Sequence[Column], b: Sequence[int]) -> FeasibilityResult
     return FeasibilityResult(False, None, farkas, pivots)
 
 
-def _solve(columns: Sequence[Column], scale: int, rhs: Sequence[Fraction]) -> FeasibilityResult:
+def _solve(
+    columns: Sequence[Column], scale: int, rhs: Sequence[Fraction], cone: _CutCone | None = None
+) -> FeasibilityResult:
     """Decide M w = rhs, w >= 0 over the integer columns A = scale * M;
     the certificate is re-checked against the unscaled rhs."""
     # A w = s_b rhs has s_b / scale times the witness of M w = rhs.
     s_b, b = integer_entries(rhs)
-    result = _phase_one(columns, b)
+    result = _phase_one(columns, b, cone)
     if not result.feasible:
         _check_farkas(columns, rhs, result.farkas)
         return result
@@ -299,6 +380,25 @@ def _pair_cut_masks(n: int) -> list[int]:
     return [1 << (i - 1) | 1 << (j - 1) for i, j in vertex_pairs(n)]
 
 
+@lru_cache(maxsize=8)
+def _cut_cone(kind: str, n: int) -> _CutCone:
+    """The columns of the cut cone ("cut": the first cut of each
+    complement pair, in cut_masks order) or of the pair-cut cone
+    ("pair": vertex_pairs order) at n, built on first use."""
+    ends = [(i - 1, j - 1) for i, j in vertex_pairs(n)]
+    if kind == "pair":
+        masks, singles = _pair_cut_masks(n), 0
+    else:
+        # cut_masks is graded: the n singletons, then the pairs in
+        # vertex_pairs order, as far as the first half reaches
+        masks = cut_masks(n)[: (1 << (n - 1)) - 1]
+        singles = n
+        ends = ends[: len(masks) - n]
+    columns = tuple(_cut_columns(n, masks))
+    stars = tuple(tuple(split_pairs(n, 1 << a)) for a in range(n))
+    return _CutCone(columns, stars, singles, tuple(ends), _slot_width(columns, n * (n - 1) // 2))
+
+
 def cutcone_membership(
     d: Metric, *, max_n: int = DEFAULT_CUTCONE_MAX_N
 ) -> FeasibilityResult:
@@ -311,8 +411,8 @@ def cutcone_membership(
     """
     if d.n > max_n:
         raise ValueError(f"n={d.n} exceeds the cut-cone oracle maximum {max_n}")
-    masks = cut_masks(d.n)
-    result = _solve(_cut_columns(d.n, masks[: len(masks) // 2]), 1, d.d)
+    cone = _cut_cone("cut", d.n)
+    result = _solve(cone.columns, 1, d.d, cone)
     if not result.feasible:
         return result
     return replace(result, witness=result.witness + (_ZERO,) * len(result.witness))
@@ -332,7 +432,8 @@ def paircut_membership_exact(
         raise ValueError(f"n={d.n} exceeds the pair-cut oracle maximum {max_n}")
     if d.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={d.n}")
-    return _solve(_cut_columns(d.n, _pair_cut_masks(d.n)), 1, d.d)
+    cone = _cut_cone("pair", d.n)
+    return _solve(cone.columns, 1, d.d, cone)
 
 
 def paircut_farkas(d: Metric, pair: tuple[int, int]) -> tuple[int, ...]:
@@ -348,7 +449,7 @@ def paircut_farkas(d: Metric, pair: tuple[int, int]) -> tuple[int, ...]:
         raise ValueError(f"the closed-form Farkas vector needs n >= 5, got n={n}")
     k = set(pair)
     y = tuple((n - 2) * ((n - 4) * (q == k) - len(k & q)) + 2 for q in map(set, vertex_pairs(n)))
-    _check_farkas(_cut_columns(n, _pair_cut_masks(n)), d.d, y)
+    _check_farkas(_cut_cone("pair", n).columns, d.d, y)
     return y
 
 

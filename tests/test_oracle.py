@@ -1,5 +1,6 @@
 """Exact LP feasibility oracle and the seeded instance generators."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutcones import oracle
+from cutcones import oracle, sig
 from cutcones.cut_algebra import (
     RationalMatrix,
     cut_masks,
@@ -126,6 +127,43 @@ def test_path_metric_is_feasible():
     check_witness(matrix, d.d, result.witness)
 
 
+def sylvester_01(k):
+    """The 0/1 matrix of order 2^k - 1 left by Sylvester's Hadamard
+    matrix of order 2^k: drop its all-ones first row and column and map
+    +1 -> 0, -1 -> 1.  Its determinant reaches the 0/1 bound
+    (m+1)^((m+1)/2) / 2^m, e.g. 32 at order 7."""
+    size = 1 << k
+    return [[bin(i & j).count("1") % 2 for j in range(1, size)] for i in range(1, size)]
+
+
+def test_zero_one_slot_width_bound_is_tight():
+    rows = sylvester_01(3)
+    columns = integer_columns(rows)
+    # (m+1)^(m+1) / 4^m = 8^8 / 4^7 = 32^2: W = 7 holds +-32 with a
+    # bit to spare; Hadamard's 4^7 = 128^2 would give 9
+    assert oracle._slot_width(columns, 7) == 7
+    matrix = RationalMatrix.from_rows([[F(x) for x in row] for row in rows])
+    member = [sum(row) for row in rows]  # every column with weight 1
+    outside = [sum(row[:6]) - row[6] for row in rows]
+    for b, expected in ((member, True), (outside, False)):
+        result = lp_feasibility(matrix, [F(x) for x in b])
+        want = reference_phase_one(columns, b)
+        assert result.feasible == expected
+        assert result == want and result.pivots == want.pivots
+        if expected:
+            assert result.witness == (F(1),) * 7
+
+
+def test_slot_widths():
+    # the 0/1 bound for the cut columns at n=10 (Hadamard gives 106), the
+    # smaller Hadamard bound for the pair cuts at n=14 (211 from 0/1), and
+    # Hadamard alone once an entry is not 0/1
+    assert oracle._cut_cone("cut", 10).width == 84
+    assert oracle._cut_cone("pair", 14).width == 210
+    # squared norms 4 and 10: isqrt(40) + 1 = 7, three bits and a sign
+    assert oracle._slot_width(integer_columns([[2, 1], [0, 3]]), 2) == 4
+
+
 def test_zero_column_and_fewer_nonzero_columns_than_rows():
     # a zero column among the m largest column norms must not shrink
     # the packed solver's slot width
@@ -161,8 +199,8 @@ def integer_columns(rows):
     return columns
 
 
-def assert_same_as_reference(columns, b):
-    got = oracle._phase_one(columns, b)
+def assert_same_as_reference(columns, b, cone=None):
+    got = oracle._phase_one(columns, b, cone)
     want = reference_phase_one(columns, b)
     assert got == want
     assert got.pivots == want.pivots
@@ -170,15 +208,19 @@ def assert_same_as_reference(columns, b):
 
 
 def test_packed_solver_matches_reference_on_cut_columns():
+    # each cone's columns twice: through the plain sparse scan, and
+    # through star pricing with the cone's 0/1 slot width
     rng = random.Random(41)
     seen = set()
     for n in range(3, 10):
         m = n * (n - 1) // 2
         masks = cut_masks(n)
+        cones = (oracle._cut_cone("cut", n), oracle._cut_cone("pair", n))
         column_sets = (
             [(tuple(split_pairs(n, mask)), None) for mask in masks[: len(masks) // 2]],
             [(tuple(split_pairs(n, 1 << (i - 1) | 1 << (j - 1))), None) for i, j in vertex_pairs(n)],
         )
+        assert [list(cone.columns) for cone in cones] == list(column_sets)
         metrics = [
             random_semimetric(n, rng),
             random_l1_points_metric(n, rng),
@@ -188,8 +230,9 @@ def test_packed_solver_matches_reference_on_cut_columns():
         ]
         for d in metrics:
             b = integer_entries(d.d)[1]
-            for columns in column_sets:
+            for columns, cone in zip(column_sets, cones):
                 seen.add(assert_same_as_reference(columns, b).feasible)
+                seen.add(assert_same_as_reference(cone.columns, b, cone).feasible)
     assert seen == {True, False}
 
 
@@ -282,6 +325,36 @@ def test_pivot_count_takes_no_part_in_equality():
     assert a == b
 
 
+def pinned_instances():
+    """Seeded metrics at n = 4..9: two of each random family per n, then
+    family catalog metrics (members and non-members of both cones)."""
+    rng = random.Random(1923)
+    for n in range(4, 10):
+        for _ in range(2):
+            yield random_semimetric(n, rng)
+            yield random_l1_points_metric(n, rng)
+            yield random_cut_combination(n, rng)
+            yield random_paircut_combination(n, rng)
+    for name, params, metric in (
+        ("C", (9,), "d0"), ("Q", (3,), "d0"), ("B", (3, 4), "d1"), ("CP", (4,), "d0"),
+        ("K", (6,), "d1"), ("L", (8,), "d0"), ("S", (6,), "d1"),
+    ):
+        g = sig.family(name, *params)
+        yield truncated_metric(g) if metric == "d0" else graph_metric(g)
+
+
+def test_oracle_output_is_pinned():
+    # verdict, certificate and pivot count of both cone oracles on fixed
+    # instances; a change to the solver that moves a single pivot or a
+    # single certificate entry changes the digest
+    digest = hashlib.sha256()
+    for d in pinned_instances():
+        for solve in (cutcone_membership, paircut_membership_exact):
+            r = solve(d)
+            digest.update(repr((r.feasible, r.witness, r.farkas, r.pivots)).encode())
+    assert digest.hexdigest()[:32] == "8d3f0ca6c1334ec729bbad8e0337b199"
+
+
 def sparse_cut_combination(n, rng, cuts):
     """Random positive weights on `cuts` random distinct nontrivial cuts."""
     total = [F(0)] * (n * (n - 1) // 2)
@@ -325,7 +398,11 @@ def test_dropping_complement_columns_changes_nothing():
             for d in metrics:
                 result = cutcone_membership(d)
                 assert result.feasible == expected
-                assert result == lp_feasibility(full_cut_matrix(n), d.d)
+                # the full matrix goes through the plain sparse scan, so
+                # equal pivots also say star pricing takes Bland's
+                full = lp_feasibility(full_cut_matrix(n), d.d)
+                assert result == full
+                assert result.pivots == full.pivots
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -343,7 +420,10 @@ def test_dropping_complement_columns_property(n, weights, denom):
         for r, x in enumerate(cut_metric_vector(cut)):
             total[r] += x * F(w, denom)
     d = Metric(n, tuple(total))
-    assert cutcone_membership(d) == lp_feasibility(full_cut_matrix(n), d.d)
+    result = cutcone_membership(d)
+    full = lp_feasibility(full_cut_matrix(n), d.d)
+    assert result == full
+    assert result.pivots == full.pivots
 
 
 def test_degenerate_classes_at_n10():
