@@ -41,11 +41,14 @@ those a dense Fraction tableau [A | I] would take: scaling A and d by
 positive constants rescales w but changes no pivot and no Farkas
 vector.
 
-One front end, `_solve`, takes integer sparse columns A = s M (s > 0)
-and the unscaled d, clears d of denominators, runs `_phase_one`, and
-rescales and re-checks the certificate.  lp_feasibility scales a
-general RationalMatrix.  The cone verdicts take each 0/1 column
-delta(mask) of a vertex bitmask, built with split_pairs (s = 1):
+One generator set goes into every solve: a `_Generators`, the integer
+sparse columns A of the cone under test with their slot width.  The
+front end `_solve` takes it and the right-hand side d, clears d of
+denominators, runs `_phase_one`, and rescales and re-checks the
+certificate against d.  lp_feasibility clears a general RationalMatrix
+M of denominators, A = s M (s > 0), and solves A w = s d, which has the
+witness and Farkas vector of M w = d.  The cone verdicts take each 0/1
+column delta(mask) of a vertex bitmask, built with split_pairs:
 paircut_membership_exact passes the pair cuts {i, j} in vertex_pairs
 order, and cutcone_membership one cut per complement pair (both give
 the same column), the first in enumerate_cuts order, i.e. the first
@@ -53,27 +56,28 @@ the same column), the first in enumerate_cuts order, i.e. the first
 profit of its kept twin, which has a smaller index, so Bland's rule
 would never let it enter (and it is never basic): the pivots and
 certificates are those over all 2^n - 2 columns, and the dropped cuts
-get witness weight 0.  Each cone's columns, its vertex stars and its
-slot width are built once per n, on first use, and kept in a small
-lru_cache (`_cut_cone`).
+get witness weight 0.  Each cone's generators are built once per n,
+on first use, and kept in a small lru_cache (`_cut_cone`).
 
 Both cones open with their small cuts: cut_masks is graded, so the cut
 cone's first columns are the n singletons and then the pairs, and
-every pair-cut column is a pair.  `_phase_one` prices these from the
-star sums s_a = sum_b v_ab, computed once per pivot: v . delta(S) =
-sum_{a in S} s_a - 2 sum_{a < b in S} v_ab, one lookup for a singleton
-and three for a pair.  That is the same integer as the sparse dot
-product, taken in the same order, so Bland's rule picks the same
-column; larger cuts, and the columns of lp_feasibility, keep the
+every pair-cut column is a pair.  Their generators mark these as a
+star-priced prefix, and `_bland`, the one scan of Bland's rule over the
+original columns, prices it from the star sums s_a = sum_b v_ab,
+computed once per pivot: v . delta(S) = sum_{a in S} s_a -
+2 sum_{a < b in S} v_ab, one lookup for a singleton and three for a
+pair.  That is the same integer as the sparse dot product, taken in
+the same order, so Bland's rule picks the same column; larger cuts,
+and the columns of lp_feasibility (whose prefix is empty), keep the
 sparse dot product.
 
 Bland's rule guarantees termination, and exact arithmetic makes the
-verdict a proof once the certificate has been re-checked against the
-unscaled d.  Both re-checks run in integers over the same sparse
-columns, and a failed one raises RuntimeError:
+verdict a proof once the certificate has been re-checked against d.
+Both re-checks run in integers over the same sparse columns, and a
+failed one raises RuntimeError:
 
-  * feasible: a nonnegative witness w with M w = d, i.e.
-    s_b sum_j w'_j A_j = s q b for w = w' / q and d = b / s_b;
+  * feasible: a nonnegative witness w with A w = d, i.e.
+    s_b sum_j w'_j A_j = q b for w = w' / q and d = b / s_b;
   * infeasible: a Farkas vector y, read off the final multipliers,
     with y . A_j <= 0 for every column and y . d > 0 (y cleared of
     denominators, which keeps every sign).  paircut_farkas builds one
@@ -159,63 +163,66 @@ def _slot_width(columns: Sequence[Column], m: int) -> int:
     return (isqrt(bound) + 1).bit_length() + 1
 
 
-class _CutCone(NamedTuple):
-    """The 0/1 columns of one cone of cut metrics at one n, and what
-    star pricing reads from them.
+class _Generators(NamedTuple):
+    """The generators of the cone under test, as integer sparse columns,
+    their slot width, and an optional star-priced prefix.
 
-    Columns 0 .. singles-1 are the cuts {1}, ..., {singles}; the next
-    len(ends) columns are the pair cuts {a+1, b+1} for (a, b) in ends,
-    the p-th of them on pair p of vertex_pairs order.  stars[a] holds
-    the indices of the pairs at vertex a + 1.
+    The prefix is empty for lp_feasibility.  A cut cone sets it: columns
+    0 .. singles-1 are the cuts {1}, ..., {singles}; the next len(ends)
+    columns are the pair cuts {a+1, b+1} for (a, b) in ends, the p-th of
+    them on pair p of vertex_pairs order; stars[a] holds the indices of
+    the pairs at vertex a + 1.
     """
 
-    columns: tuple[Column, ...]
-    stars: tuple[tuple[int, ...], ...]
-    singles: int
-    ends: tuple[tuple[int, int], ...]
+    columns: Sequence[Column]
     width: int
+    stars: tuple[tuple[int, ...], ...] = ()
+    singles: int = 0
+    ends: tuple[tuple[int, int], ...] = ()
 
 
-def _star_price(cone: _CutCone, v: Sequence[int]) -> tuple[int, int]:
-    """Bland's rule over the cone's leading singleton and pair cuts:
-    (index, reduced profit) of the first with positive profit, else
-    (-1, 0).
+def _bland(gens: _Generators, v: Sequence[int]) -> tuple[int, int]:
+    """Bland's rule over the original columns: (index, reduced profit
+    v . A_j) of the first column with positive profit, else (-1, 0).
 
-    With the star sums s_a = sum_b v_ab, a cut S has the profit
-    v . delta(S) = sum_{a in S} s_a - 2 sum_{a < b in S} v_ab, the same
-    integer as the sparse dot product: one lookup for a singleton and
-    three for a pair, after n star sums per pivot.
+    With the star sums s_a = sum_b v_ab, a cut S of the star-priced
+    prefix has the profit v . delta(S) = sum_{a in S} s_a -
+    2 sum_{a < b in S} v_ab, the same integer as the sparse dot product:
+    one lookup for a singleton and three for a pair, after one star sum
+    per vertex.  The columns after the prefix take the dot product.
     """
     get = v.__getitem__
-    star = [sum(map(get, rows)) for rows in cone.stars]
-    for a in range(cone.singles):
+    star = [sum(map(get, rows)) for rows in gens.stars]
+    for a in range(gens.singles):
         if star[a] > 0:
             return a, star[a]
-    for p, (a, b) in enumerate(cone.ends):
+    for p, (a, b) in enumerate(gens.ends):
         profit = star[a] + star[b] - 2 * v[p]
         if profit > 0:
-            return cone.singles + p, profit
+            return gens.singles + p, profit
+    start = gens.singles + len(gens.ends)
+    for j, (rows, vals) in enumerate(islice(gens.columns, start, None), start):
+        profit = sum(map(get, rows)) if vals is None else sum(map(mul, vals, map(get, rows)))
+        if profit > 0:
+            return j, profit
     return -1, 0
 
 
-def _phase_one(
-    columns: Sequence[Column], b: Sequence[int], cone: _CutCone | None = None
-) -> FeasibilityResult:
-    """Decide A w = b, w >= 0 for integer A (given by its columns) and b.
+def _phase_one(gens: _Generators, b: Sequence[int]) -> FeasibilityResult:
+    """Decide A w = b, w >= 0 for the integer columns A of gens and
+    integer b.
 
-    The witness is over `columns` and the Farkas vector y has
+    The witness is over gens.columns and the Farkas vector y has
     y . A_j <= 0 for every column and y . b > 0; neither is checked
-    here.  `cone`, when given, describes `columns` (they are
-    cone.columns): its small cuts are priced from vertex stars and its
-    slot width is not recomputed.  The pivots are the same either way.
+    here.
     """
+    columns = gens.columns
     m, ncols = len(b), len(columns)
     sign = [-1 if x < 0 else 1 for x in b]
     # Entry i of a packed column sits in bits [W i, W i + W).  Adding
     # `bias` (half in every slot) makes every slot nonnegative, so a
     # slot decodes by shift and mask without borrows from below.
-    width = _slot_width(columns, m) if cone is None else cone.width
-    start = 0 if cone is None else cone.singles + len(cone.ends)
+    width = gens.width
     shifts = range(0, width * m, width)
     half = 1 << (width - 1)
     mask = (1 << width) - 1
@@ -230,18 +237,10 @@ def _phase_one(
     pivots = 0
 
     while True:
-        # Bland: the first column with positive reduced profit, the
-        # cone's small cuts from vertex stars, the rest (from `start`)
-        # by sparse dot products.  An artificial column costs 1, so its
-        # profit is sign_k y_k - 1.
-        enter, profit = (-1, 0) if cone is None else _star_price(cone, v)
-        if enter < 0:
-            get = v.__getitem__
-            for j, (rows, vals) in enumerate(islice(columns, start, None), start):
-                profit = sum(map(get, rows)) if vals is None else sum(map(mul, vals, map(get, rows)))
-                if profit > 0:
-                    enter = j
-                    break
+        # Bland: the first original column with positive reduced
+        # profit, else the first artificial one.  An artificial column
+        # costs 1, so its profit is sign_k y_k - 1.
+        enter, profit = _bland(gens, v)
         if enter >= 0:
             packed = _dot(columns[enter], inv.__getitem__)
         else:
@@ -305,28 +304,25 @@ def _phase_one(
     return FeasibilityResult(False, None, farkas, pivots)
 
 
-def _solve(
-    columns: Sequence[Column], scale: int, rhs: Sequence[Fraction], cone: _CutCone | None = None
-) -> FeasibilityResult:
-    """Decide M w = rhs, w >= 0 over the integer columns A = scale * M;
-    the certificate is re-checked against the unscaled rhs."""
-    # A w = s_b rhs has s_b / scale times the witness of M w = rhs.
+def _solve(gens: _Generators, rhs: Sequence[Fraction]) -> FeasibilityResult:
+    """Decide A w = rhs, w >= 0 over the integer columns A of gens; the
+    certificate is re-checked against rhs."""
+    # A w = s_b rhs has s_b times the witness of A w = rhs.
     s_b, b = integer_entries(rhs)
-    result = _phase_one(columns, b, cone)
+    result = _phase_one(gens, b)
     if not result.feasible:
-        _check_farkas(columns, rhs, result.farkas)
+        _check_farkas(gens.columns, rhs, result.farkas)
         return result
-    factor = Fraction(scale, s_b)
-    witness = tuple(w * factor for w in result.witness)
-    _check_witness(columns, scale, rhs, witness)
+    witness = tuple(w / s_b for w in result.witness)
+    _check_witness(gens.columns, rhs, witness)
     return replace(result, witness=witness)
 
 
 def _check_witness(
-    columns: Sequence[Column], scale: int, rhs: Sequence[Fraction], witness: Sequence[Fraction]
+    columns: Sequence[Column], rhs: Sequence[Fraction], witness: Sequence[Fraction]
 ) -> None:
-    """w >= 0 and M w = rhs for A = scale * M, in integers: with w = w' / q
-    and rhs = b / s_b, s_b sum_j w'_j A_j = scale q b."""
+    """w >= 0 and A w = rhs for the integer columns A, in integers: with
+    w = w' / q and rhs = b / s_b, s_b sum_j w'_j A_j = q b."""
     q, weights = integer_entries(witness)
     if any(k < 0 for k in weights):
         raise RuntimeError("simplex produced a negative witness entry")
@@ -336,7 +332,7 @@ def _check_witness(
         if k:
             for i, x in zip(rows, vals or (1,) * len(rows)):
                 total[i] += k * x
-    if any(s_b * t != scale * q * x for t, x in zip(total, b)):
+    if any(s_b * t != q * x for t, x in zip(total, b)):
         raise RuntimeError("simplex witness fails M w = d")
 
 
@@ -354,7 +350,11 @@ def _check_farkas(
 
 
 def lp_feasibility(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> FeasibilityResult:
-    """Decide M w = d, w >= 0 exactly; certificate is re-verified."""
+    """Decide M w = d, w >= 0 exactly; certificate is re-verified.
+
+    The integer columns A = s M (s > 0) solve A w = s d, which has the
+    pivots, witness and Farkas vector of M w = d.
+    """
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} != row count {matrix.rows}")
     scale, flat = integer_entries(x for row in matrix.entries for x in row)
@@ -364,16 +364,11 @@ def lp_feasibility(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> Feasibili
         rows = tuple(i for i, x in enumerate(col) if x)
         vals = tuple(col[i] for i in rows)
         columns.append((rows, None if all(x == 1 for x in vals) else vals))
-    return _solve(columns, scale, rhs)
+    return _solve(_Generators(columns, _slot_width(columns, matrix.rows)), [scale * x for x in rhs])
 
 
 # ---------------------------------------------------------------------------
 # the cones of cut metrics, column by column from bitmasks
-
-
-def _cut_columns(n: int, masks: Sequence[int]) -> list[Column]:
-    """The 0/1 columns delta(mask), in the order of masks."""
-    return [(tuple(split_pairs(n, mask)), None) for mask in masks]
 
 
 def _pair_cut_masks(n: int) -> list[int]:
@@ -381,10 +376,11 @@ def _pair_cut_masks(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def _cut_cone(kind: str, n: int) -> _CutCone:
-    """The columns of the cut cone ("cut": the first cut of each
-    complement pair, in cut_masks order) or of the pair-cut cone
-    ("pair": vertex_pairs order) at n, built on first use."""
+def _cut_cone(kind: str, n: int) -> _Generators:
+    """The generators of the cut cone ("cut": the 0/1 column delta(mask)
+    of the first cut of each complement pair, in cut_masks order) or of
+    the pair-cut cone ("pair": vertex_pairs order) at n, built on first
+    use."""
     ends = [(i - 1, j - 1) for i, j in vertex_pairs(n)]
     if kind == "pair":
         masks, singles = _pair_cut_masks(n), 0
@@ -394,9 +390,10 @@ def _cut_cone(kind: str, n: int) -> _CutCone:
         masks = cut_masks(n)[: (1 << (n - 1)) - 1]
         singles = n
         ends = ends[: len(masks) - n]
-    columns = tuple(_cut_columns(n, masks))
+    columns = tuple((tuple(split_pairs(n, mask)), None) for mask in masks)
     stars = tuple(tuple(split_pairs(n, 1 << a)) for a in range(n))
-    return _CutCone(columns, stars, singles, tuple(ends), _slot_width(columns, n * (n - 1) // 2))
+    width = _slot_width(columns, n * (n - 1) // 2)
+    return _Generators(columns, width, stars, singles, tuple(ends))
 
 
 def cutcone_membership(
@@ -411,8 +408,7 @@ def cutcone_membership(
     """
     if d.n > max_n:
         raise ValueError(f"n={d.n} exceeds the cut-cone oracle maximum {max_n}")
-    cone = _cut_cone("cut", d.n)
-    result = _solve(cone.columns, 1, d.d, cone)
+    result = _solve(_cut_cone("cut", d.n), d.d)
     if not result.feasible:
         return result
     return replace(result, witness=result.witness + (_ZERO,) * len(result.witness))
@@ -432,8 +428,7 @@ def paircut_membership_exact(
         raise ValueError(f"n={d.n} exceeds the pair-cut oracle maximum {max_n}")
     if d.n < 3:
         raise ValueError(f"need at least 3 vertices, got n={d.n}")
-    cone = _cut_cone("pair", d.n)
-    return _solve(cone.columns, 1, d.d, cone)
+    return _solve(_cut_cone("pair", d.n), d.d)
 
 
 def paircut_farkas(d: Metric, pair: tuple[int, int]) -> tuple[int, ...]:

@@ -90,17 +90,23 @@ def test_negative_rhs_is_normalized():
     check_witness(matrix, (F(-3),), result.witness)
 
 
-def test_non_integer_rational_matrix():
-    # every row has its own denominators, and both right-hand sides
-    # carry a negative entry, so the solver must clear denominators and
-    # map the Farkas vector back through scaling and sign flips
-    matrix = RationalMatrix.from_rows(
+def rational_matrix():
+    """Every row with its own denominators; the integer columns are 420
+    times its own."""
+    return RationalMatrix.from_rows(
         [
             [F(1, 2), F(1, 3), F(0)],
             [F(1, 4), F(1), F(-2, 5)],
             [F(0), F(-1, 6), F(3, 7)],
         ]
     )
+
+
+def test_non_integer_rational_matrix():
+    # every row has its own denominators, and both right-hand sides
+    # carry a negative entry, so the solver must clear denominators and
+    # map the Farkas vector back through scaling and sign flips
+    matrix = rational_matrix()
     member = times(matrix, (F(2), F(3, 2), F(1, 3)))
     result = lp_feasibility(matrix, member)
     assert result.feasible
@@ -111,6 +117,33 @@ def test_non_integer_rational_matrix():
     result = lp_feasibility(matrix, outside)
     assert not result.feasible
     check_farkas(matrix, outside, result.farkas)
+
+
+def test_positive_scaling_changes_no_pivot_or_farkas_vector():
+    # lp_feasibility(k M, c d) takes the pivots of lp_feasibility(M, d)
+    # and returns its Farkas vector, or its witness times c / k
+    small = rational_matrix()
+    cases = [
+        (small, times(small, (F(2), F(3, 2), F(1, 3)))),
+        (small, times(small, (F(1), F(-1, 2), F(1, 5)))),
+    ]
+    rng = random.Random(5)
+    cases += [(full_cut_matrix(5), random_semimetric(5, rng).d) for _ in range(4)]
+    seen = set()
+    for matrix, rhs in cases:
+        want = lp_feasibility(matrix, rhs)
+        seen.add(want.feasible)
+        for k in (F(3), F(1, 6), F(7, 4), F(2, 9)):
+            scaled = RationalMatrix.from_rows([[k * x for x in row] for row in matrix.entries])
+            for c in (F(3), F(1, 6), F(7, 4), F(2, 9)):
+                got = lp_feasibility(scaled, [c * x for x in rhs])
+                assert got.pivots == want.pivots
+                assert got.farkas == want.farkas
+                if want.feasible:
+                    assert got.witness == tuple(w * c / k for w in want.witness)
+                else:
+                    assert got.witness is None
+    assert seen == {True, False}
 
 
 def test_dimension_mismatch_rejected():
@@ -199,8 +232,15 @@ def integer_columns(rows):
     return columns
 
 
+def cut_columns(n, masks):
+    """The 0/1 columns delta(mask), in the order of masks."""
+    return [(tuple(split_pairs(n, mask)), None) for mask in masks]
+
+
 def assert_same_as_reference(columns, b, cone=None):
-    got = oracle._phase_one(columns, b, cone)
+    if cone is None:
+        cone = oracle._Generators(columns, oracle._slot_width(columns, len(b)))
+    got = oracle._phase_one(cone, b)
     want = reference_phase_one(columns, b)
     assert got == want
     assert got.pivots == want.pivots
@@ -217,8 +257,8 @@ def test_packed_solver_matches_reference_on_cut_columns():
         masks = cut_masks(n)
         cones = (oracle._cut_cone("cut", n), oracle._cut_cone("pair", n))
         column_sets = (
-            [(tuple(split_pairs(n, mask)), None) for mask in masks[: len(masks) // 2]],
-            [(tuple(split_pairs(n, 1 << (i - 1) | 1 << (j - 1))), None) for i, j in vertex_pairs(n)],
+            cut_columns(n, masks[: len(masks) // 2]),
+            cut_columns(n, pair_cut_masks(n)),
         )
         assert [list(cone.columns) for cone in cones] == list(column_sets)
         metrics = [
@@ -455,12 +495,12 @@ def pair_cut_masks(n):
 
 def check_cut_witness(d, masks, w):
     """The merged witness re-check over the 0/1 columns of masks."""
-    oracle._check_witness(oracle._cut_columns(d.n, masks), 1, d.d, w)
+    oracle._check_witness(cut_columns(d.n, masks), d.d, w)
 
 
 def check_cut_farkas(d, masks, y):
     """The merged Farkas re-check over the 0/1 columns of masks."""
-    oracle._check_farkas(oracle._cut_columns(d.n, masks), d.d, y)
+    oracle._check_farkas(cut_columns(d.n, masks), d.d, y)
 
 
 def test_cut_certificate_rechecks_reject_bad_certificates():
@@ -581,33 +621,28 @@ def left_solve(matrix, target):
 
 
 def test_general_column_rechecks_reject_bad_certificates():
-    # the non-0/1 matrix of test_non_integer_rational_matrix, whose
-    # integer columns are 420 times its own
-    matrix = RationalMatrix.from_rows(
-        [
-            [F(1, 2), F(1, 3), F(0)],
-            [F(1, 4), F(1), F(-2, 5)],
-            [F(0), F(-1, 6), F(3, 7)],
-        ]
-    )
+    # a non-0/1 matrix, whose integer columns are 420 times its own
+    matrix = rational_matrix()
     scale, flat = integer_entries(x for row in matrix.entries for x in row)
     columns = integer_columns([flat[r * 3 : r * 3 + 3] for r in range(3)])
     assert scale == 420
 
-    # d = (2, 7/10, 5/2) has s_b = 10, so the factor scale / s_b is 42
+    # the integer columns solve A w = scale * d.  d = (2, 7/10, 5/2) has
+    # s_b = 10, so the factor scale / s_b is 42
     member = times(matrix, (F(2), F(3), F(7)))
     w = lp_feasibility(matrix, member).witness
-    oracle._check_witness(columns, scale, member, w)
-    # the witness of the integer system, without the scale / s_b factor
+    scaled = [scale * x for x in member]
+    oracle._check_witness(columns, scaled, w)
+    # the witness of A w = s_b d, the unscaled d cleared of denominators
     factor = F(scale, integer_entries(member)[0])
     assert factor == 42
     with pytest.raises(RuntimeError):
-        oracle._check_witness(columns, scale, member, [x / factor for x in w])
+        oracle._check_witness(columns, scaled, [x / factor for x in w])
     # an exact solution with one negative entry is not in the cone
     signed = (F(1), F(-1, 2), F(1, 5))
     outside = times(matrix, signed)
     with pytest.raises(RuntimeError):
-        oracle._check_witness(columns, scale, outside, signed)
+        oracle._check_witness(columns, [scale * x for x in outside], signed)
 
     y = lp_feasibility(matrix, outside).farkas
     oracle._check_farkas(columns, outside, y)
