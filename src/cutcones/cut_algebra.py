@@ -166,15 +166,22 @@ def combine_cuts(
     """
     terms = [(mask, w) for mask, w in terms if w]
     scale, weights = integer_entries(w for _, w in terms)
-    masks = [mask for mask, _ in terms]
-    if len(terms) >= (1 << (n - 1)) - 1:
-        total = _table_cut_sum(n, masks, weights)
-    else:
-        total = [0] * num_pairs(n)
-        for mask, k in zip(masks, weights):
+    total = _cut_sum(n, [mask for mask, _ in terms], weights)
+    return tuple(Fraction(x, scale) for x in total)
+
+
+def _cut_sum(n: int, masks: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """Pair-indexed sum of k * delta(mask) over integer weights k: from
+    _table_cut_sum for at least 2^(n-1) - 1 terms, else cut by cut over
+    split_pairs, skipping zero weights."""
+    if len(masks) >= (1 << (n - 1)) - 1:
+        return _table_cut_sum(n, masks, weights)
+    total = [0] * num_pairs(n)
+    for mask, k in zip(masks, weights):
+        if k:
             for p in split_pairs(n, mask):
                 total[p] += k
-    return tuple(Fraction(x, scale) for x in total)
+    return total
 
 
 def _table_cut_sum(n: int, masks: Sequence[int], weights: Sequence[int]) -> list[int]:

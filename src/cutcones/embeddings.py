@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from cutcones.cut_algebra import Cut
 from cutcones.fullcut import CutCertificate
 from cutcones.metric import Metric, integer_entries, vertex_pairs
 from cutcones.sig import SimpleGraph
@@ -111,16 +112,17 @@ def l1_embedding(cert: CutCertificate) -> PointSet:
     dropped.  Rejects negative weights.  If the certificate is valid
     for a metric d, the resulting l1 distances equal d exactly.
     """
-    for c, w in zip(cert.cuts, cert.weights):
-        if w < 0:
+    n, den = cert.n, cert._denominator
+    terms = list(zip(cert._masks, cert._numerators))
+    for mask, k in terms:
+        if k < 0:
             raise ValueError(
-                f"negative weight {w} on cut {c.member_list}; "
+                f"negative weight {Fraction(k, den)} on cut {Cut(n, mask).member_list}; "
                 "an l1 embedding needs a conic decomposition"
             )
-    kept = [(c, w) for c, w in zip(cert.cuts, cert.weights) if w]
+    kept = [(mask, Fraction(k, den)) for mask, k in terms if k]
     points = tuple(
-        tuple(w if c.contains(v) else _ZERO for c, w in kept)
-        for v in range(1, cert.n + 1)
+        tuple(w if mask >> v & 1 else _ZERO for mask, w in kept) for v in range(n)
     )
     return PointSet(norm="l1", points=points)
 

@@ -13,6 +13,15 @@ non-membership: other nonnegative solutions may exist when this one
 fails).  By complement symmetry only one representative per
 complement pair {C, V - C} needs checking.
 
+A CutCertificate stores what its consumers compute with: the cut
+bitmasks, and the weights as integer numerators over their least
+common denominator t.  sufficient_condition builds it from its integer
+slacks over (m+1) q 2^{n-2} (q the lcm of d's denominators), reduced
+by one gcd; io reads a document straight into it.  Verification sums
+the cut metrics in integers (cut_algebra._cut_sum) and compares the
+sum s over t with d's entries b over q as s q = b t, so a valid
+certificate costs no Cut and no Fraction per cut.
+
 The kernel of S (dimension 2^n - 2 - m) is spanned by
 
     phi_k  = e_{C_k} - e_{complement of C_k}      for singletons C_k,
@@ -28,12 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, _table_cut_sum, combine_cuts, cut_masks, cut_traces
-from cutcones.metric import Metric, integer_entries, num_pairs, vertex_pairs
+from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, _cut_sum, _table_cut_sum, cut_masks, cut_traces
+from cutcones.metric import (
+    MAX_TOKEN_DIGITS, Metric, RationalLike, as_fraction, integer_entries, num_pairs, vertex_pairs,
+)
 
 _ZERO = Fraction(0)
 
@@ -45,28 +57,95 @@ DEFAULT_KERNEL_MAX_N = 12
 # certificates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CutCertificate:
-    """Weighted list of cuts asserting d = sum of weight * cut metric."""
+    """Weighted list of cuts asserting d = sum of weight * cut metric.
+
+    Stored as the cut bitmasks and the weights as integer numerators
+    over their least common denominator, so equal certificates store
+    equal integers and compare and hash by value.  cuts (Cut objects)
+    and weights (Fractions) are views built on first use.  The
+    constructor takes cuts and int or Fraction weights; it raises
+    ValueError on a count mismatch, a cut on another n, or a common
+    denominator of more than MAX_TOKEN_DIGITS digits.
+    """
 
     n: int
-    cuts: tuple[Cut, ...]
-    weights: tuple[Fraction, ...]
+    _masks: tuple[int, ...]
+    _numerators: tuple[int, ...]
+    _denominator: int
 
-    def __post_init__(self) -> None:
-        if len(self.cuts) != len(self.weights):
+    def __init__(self, n: int, cuts: Sequence[Cut], weights: Sequence[RationalLike]) -> None:
+        if len(cuts) != len(weights):
+            raise ValueError(f"{len(cuts)} cuts vs {len(weights)} weights")
+        for c in cuts:
+            if c.n != n:
+                raise ValueError(f"cut on {c.n} vertices in certificate for n={n}")
+        weights = [as_fraction(w) for w in weights]
+        numerators, den = _over_one_denominator(
+            [w.numerator for w in weights], [w.denominator for w in weights]
+        )
+        self._fill(n, [c.members for c in cuts], numerators, den)
+
+    def _fill(self, n: int, masks: Sequence[int], numerators: Sequence[int], den: int) -> None:
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(
+            n=n, _masks=tuple(masks), _numerators=tuple(numerators), _denominator=den
+        )
+
+    @cached_property
+    def cuts(self) -> tuple[Cut, ...]:
+        return tuple(Cut(self.n, mask) for mask in self._masks)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self._denominator) for k in self._numerators)
+
+
+def _certificate(
+    n: int, masks: Sequence[int], numerators: Sequence[int], den: int
+) -> CutCertificate:
+    """The certificate of weights numerators[k] / den, with den > 0 the
+    least common denominator (gcd(den, *numerators) = 1)."""
+    cert = object.__new__(CutCertificate)
+    cert._fill(n, masks, numerators, den)
+    return cert
+
+
+def _over_one_denominator(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
+    """The fractions nums[k] / dens[k], dens[k] > 0, as integer
+    numerators over their least common denominator, and that
+    denominator.
+
+    The lcm of the dens is folded over the distinct ones, and
+    ValueError is raised as soon as it holds more than MAX_TOKEN_DIGITS
+    digits, before any numerator is scaled: the numerators are as wide
+    as it is.  One gcd then reduces it to the least common denominator,
+    should some fraction not be in lowest terms.
+    """
+    distinct = set(dens)
+    den = 1
+    for q in distinct:
+        den = lcm(den, q)
+        # below 2^(3D) < 10^D it has at most D digits
+        if den.bit_length() > 3 * MAX_TOKEN_DIGITS and den >= 10**MAX_TOKEN_DIGITS:
             raise ValueError(
-                f"{len(self.cuts)} cuts vs {len(self.weights)} weights"
+                f"certificate weights have a common denominator of more than "
+                f"{MAX_TOKEN_DIGITS} digits"
             )
-        for c in self.cuts:
-            if c.n != self.n:
-                raise ValueError(f"cut on {c.n} vertices in certificate for n={self.n}")
+    scale = {q: den // q for q in distinct}
+    numerators = [k * scale[q] for k, q in zip(nums, dens)]
+    g = gcd(den, *numerators)
+    if g > 1:
+        return [k // g for k in numerators], den // g
+    return numerators, den
 
 
 def certificate_metric(cert: CutCertificate) -> Metric:
     """Reconstruct the metric a certificate claims to decompose."""
-    terms = ((c.members, w) for c, w in zip(cert.cuts, cert.weights))
-    return Metric(cert.n, combine_cuts(cert.n, terms))
+    den = cert._denominator
+    total = _cut_sum(cert.n, cert._masks, cert._numerators)
+    return Metric(cert.n, tuple(Fraction(x, den) for x in total))
 
 
 def certificate_from_weights(n: int, weights: Sequence[Fraction]) -> CutCertificate:
@@ -80,17 +159,11 @@ def certificate_from_weights(n: int, weights: Sequence[Fraction]) -> CutCertific
     count = len(weights) + 2
     if count.bit_length() != n + 1 or count != 1 << n:
         raise ValueError(f"expected 2^{n} - 2 weights, got {len(weights)}")
-    return _certificate(n, cut_masks(n), weights)
-
-
-def _certificate(n: int, masks: Sequence[int], weights: Sequence[Fraction]) -> CutCertificate:
-    """The cuts with nonzero weight and their weights."""
-    kept = [(mask, w) for mask, w in zip(masks, weights) if w]
-    return CutCertificate(
-        n=n,
-        cuts=tuple(Cut(n, mask) for mask, _ in kept),
-        weights=tuple(w for _, w in kept),
+    kept = [(mask, w) for mask, w in zip(cut_masks(n), weights) if w]
+    numerators, den = _over_one_denominator(
+        [w.numerator for _, w in kept], [w.denominator for _, w in kept]
     )
+    return _certificate(n, [mask for mask, _ in kept], numerators, den)
 
 
 @dataclass(frozen=True)
@@ -108,17 +181,26 @@ class CertificateReport:
 
 
 def verify_cut_certificate(cert: CutCertificate, d: Metric) -> CertificateReport:
-    """Exactly recompute the weighted sum and compare with d."""
-    if cert.n != d.n:
-        raise ValueError(f"certificate for n={cert.n} vs metric on n={d.n}")
+    """Exactly recompute the weighted sum and compare with d.
+
+    The sum comes in integers over the certificate's denominator t, and
+    d's entries over theirs, q: s / t = b / q is checked as s q = b t.
+    Fractions are built only for the report's negative weights and
+    mismatch.
+    """
+    n, den = cert.n, cert._denominator
+    if n != d.n:
+        raise ValueError(f"certificate for n={n} vs metric on n={d.n}")
     negatives = tuple(
-        (c, w) for c, w in zip(cert.cuts, cert.weights) if w.numerator < 0
+        (Cut(n, mask), Fraction(k, den))
+        for mask, k in zip(cert._masks, cert._numerators) if k < 0
     )
-    built = certificate_metric(cert)
+    scale, dd = integer_entries(d.d)
     mismatch = None
-    for (i, j), got, want in zip(vertex_pairs(d.n), built.d, d.d):
-        if got != want:
-            mismatch = ((i, j), got, want)
+    total = _cut_sum(n, cert._masks, cert._numerators)
+    for p, (s, b) in enumerate(zip(total, dd)):
+        if s * scale != b * den:
+            mismatch = (vertex_pairs(n)[p], Fraction(s, den), d.d[p])
             break
     return CertificateReport(
         valid=not negatives and mismatch is None,
@@ -134,19 +216,24 @@ def verify_cut_certificate(cert: CutCertificate, d: Metric) -> CertificateReport
 def _slacks(d: Metric, max_n: int) -> tuple[list[int], list[int], int]:
     """The cut masks in enumerate_cuts order, each cut's slack
     s_C - |C|(n-|C|) Tr(d)/(m+1) as an integer numerator, and the
-    slacks' common denominator, for d.n <= max_n.
+    slacks' common denominator, for d.n <= max_n."""
+    return _cleared_slacks(d.n, *integer_entries(d.d), max_n)
 
-    Every cut trace s_C is read off one cut_traces table, in integers
-    with d cleared of denominators.  Complements sit at mirrored ranks
-    and have equal slack, so only the first half of the cuts is
-    evaluated.
+
+def _cleared_slacks(
+    n: int, scale: int, dd: Sequence[int], max_n: int
+) -> tuple[list[int], list[int], int]:
+    """_slacks of the metric dd / scale, given cleared of denominators.
+
+    Every cut trace s_C is read off one cut_traces table of dd.
+    Complements sit at mirrored ranks and have equal slack, so only
+    the first half of the cuts is evaluated.  The slacks' common
+    denominator is (m+1) scale.
     """
-    n = d.n
     if n > max_n:
         raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
     masks = cut_masks(n)
     m1 = num_pairs(n) + 1
-    scale, dd = integer_entries(d.d)
     trace = sum(dd)
     traces = cut_traces(n, dd)
     full = (1 << n) - 1
@@ -201,16 +288,18 @@ def sufficient_condition(
     slack_C delta(C) must be (m+1) 2^{n-2} d, cleared as in _slacks.
     """
     n = d.n
-    masks, slacks, den = _slacks(d, max_n)
+    scale, dd = integer_entries(d.d)
+    masks, slacks, den = _cleared_slacks(n, scale, dd, max_n)
     failing = tuple(Cut(n, mask) for mask, s in zip(masks, slacks) if s < 0 and mask & 1)
     cert = None
     if not failing:
-        _, dd = integer_entries(d.d)
         factor = (num_pairs(n) + 1) << (n - 2)
         if any(s < 0 for s in slacks) or _table_cut_sum(n, masks, slacks) != [x * factor for x in dd]:
             raise RuntimeError("sufficient-condition certificate fails its re-check")
         den <<= n - 2
-        cert = _certificate(n, masks, [Fraction(s, den) for s in slacks])
+        g = gcd(den, *slacks)
+        kept = [(mask, s // g) for mask, s in zip(masks, slacks) if s]
+        cert = _certificate(n, [mask for mask, _ in kept], [k for _, k in kept], den // g)
     return SufficiencyVerdict(
         n=n,
         status="inconclusive" if failing else "member",

@@ -21,6 +21,14 @@ Formats:
   farkas       {"n": 5, "farkas": ["1", "-1/2", ...]}  (string tokens)
   points       {"norm": "l1", "points": [["0", "1/2"], ...]}
 
+A certificate is read straight into the integer form CutCertificate
+stores: members (integer vertices in 1..n) or mask (0 .. 2^n - 1)
+become a bitmask, and "p/q" and "p" weight tokens become ints, any
+other weight going through parse_rational.  The lcm of the weights'
+denominators may hold at most MAX_TOKEN_DIGITS digits, like one token;
+it is checked before any weight is scaled to it.  certificate_to_json
+writes each weight's reduced token from its numerator by one gcd.
+
 Every JSON document, in a file or on stdout, is written by dumps_json:
 json.dumps(doc) on one line.  dumps_text renders the same document as
 `key: value` lines for reading (the text mode of the verdict commands).
@@ -34,15 +42,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Any, Iterable, Iterator
 
-from cutcones.cut_algebra import Cut, RationalMatrix
+from cutcones.cut_algebra import RationalMatrix
 from cutcones.embeddings import PointSet
-from cutcones.fullcut import CutCertificate
-from cutcones.metric import Metric, RationalLike, num_pairs
+from cutcones.fullcut import CutCertificate, _certificate, _over_one_denominator
+from cutcones.metric import MAX_TOKEN_DIGITS, Metric, RationalLike, num_pairs
 from cutcones.sig import SimpleGraph
 
-MAX_TOKEN_DIGITS = 4300
 MAX_DECIMAL_EXPONENT = 4300
 
 
@@ -63,6 +71,22 @@ def _check_token_size(token: str) -> None:
         )
 
 
+def _int_ratio(value: Any) -> tuple[int, int] | None:
+    """(p, q), q > 0 and not necessarily coprime, for an exact int or an
+    ASCII "p/q" or "p" string (p an optional "-" and digits, q digits
+    and nonzero) of at most MAX_TOKEN_DIGITS characters, built with
+    int(); None for any other value."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and len(value) <= MAX_TOKEN_DIGITS and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            q = int(den) if slash else 1
+            if q:
+                return int(num), q
+    return None
+
+
 def parse_rational(value: Any) -> Fraction:
     """Exact rational from an int, Fraction, or string token.
 
@@ -72,17 +96,12 @@ def parse_rational(value: Any) -> Fraction:
 
     An exact int, and an ASCII "p/q" or "p" string (p an optional "-"
     and digits, q digits and nonzero) of at most MAX_TOKEN_DIGITS
-    characters, are built with int(), to the value Fraction(str) gives;
-    every other string goes through Fraction(str).
+    characters, are built with int() (_int_ratio), to the value
+    Fraction(str) gives; every other string goes through Fraction(str).
     """
-    if type(value) is int:
-        return Fraction(value)
-    if type(value) is str and len(value) <= MAX_TOKEN_DIGITS and value.isascii():
-        num, slash, den = value.partition("/")
-        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            q = int(den) if slash else 1
-            if q:
-                return Fraction(int(num), q)
+    ratio = _int_ratio(value)
+    if ratio is not None:
+        return Fraction(*ratio)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -254,6 +273,21 @@ def loads_graph(text: str) -> SimpleGraph:
 # cone certificates: cut decompositions (members), Farkas vectors
 
 
+class _Bits(dict):
+    """Vertex v in 1..n -> its bit 1 << (v - 1), filled on first use;
+    ValueError for a vertex out of range."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, v: int) -> int:
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        bit = self[v] = 1 << (v - 1)
+        return bit
+
+
 class _Members(dict):
     """Bits b -> the vertices offset + k with bit k - 1 of b set, in
     ascending order, filled on first use: a certificate pays only for
@@ -273,32 +307,40 @@ class _Members(dict):
 def certificate_to_json(cert: CutCertificate) -> dict[str, Any]:
     # a cut's members are those of its low half bits then of its high
     # half; the sum is a new list, so the document shares no table entry
-    half = cert.n // 2
+    half, den = cert.n // 2, cert._denominator
     low, high, low_bits = _Members(0).__getitem__, _Members(half).__getitem__, (1 << half) - 1
     return {
         "n": cert.n,
         "cuts": [
-            {
-                "members": low(c.members & low_bits) + high(c.members >> half),
-                "weight": rational_to_json(w),
-            }
-            for c, w in zip(cert.cuts, cert.weights)
+            {"members": low(mask & low_bits) + high(mask >> half), "weight": _weight_token(k, den)}
+            for mask, k in zip(cert._masks, cert._numerators)
         ],
     }
+
+
+def _weight_token(k: int, den: int) -> int | str:
+    """rational_to_json(Fraction(k, den)), by one gcd."""
+    g = gcd(k, den)
+    return k // g if g == den else f"{k // g}/{den // g}"
 
 
 _INT_TYPE = frozenset({int})
 
 
 def certificate_from_json(obj: Any) -> CutCertificate:
+    """A certificate document, read as cut bitmasks and weight ratios
+    p / q: "p/q" and "p" tokens by _int_ratio, any other weight by
+    parse_rational."""
     if not isinstance(obj, dict):
         raise ValueError("certificate document must be a JSON object")
     n = _require_int(obj, "n")
     items = obj.get("cuts")
     if not isinstance(items, list):
         raise ValueError("field 'cuts' must be a list")
-    cuts = []
-    weights = []
+    bit = _Bits(n).__getitem__
+    masks = []
+    nums = []
+    dens = []
     for item in items:
         if not isinstance(item, dict):
             raise ValueError(f"certificate entries must be objects, got {item!r}")
@@ -307,16 +349,30 @@ def certificate_from_json(obj: Any) -> CutCertificate:
             # exact ints only: True and 1.0 would pass a lookup as vertex 1
             if not (isinstance(members, list) and _INT_TYPE.issuperset(map(type, members))):
                 raise ValueError(f"'members' must be a list of integer vertices, got {members!r}")
-            cut = Cut.from_members(n, members)
+            mask = sum(map(bit, members))
+            if mask.bit_count() != len(members):  # a vertex listed twice
+                mask = sum(set(map(bit, members)))
         elif "mask" in item:
-            cut = Cut(n, _require_int(item, "mask"))
+            mask = _require_int(item, "mask")
         else:
             raise ValueError("certificate entry needs a 'members' or 'mask' field")
+        if n < 2:
+            raise ValueError(f"need at least 2 vertices, got n={n}")
+        # bit_length, not 1 << n: a hostile n must not cost an n-bit int
+        if not (mask >= 0 and mask.bit_length() <= n):
+            raise ValueError(f"bitmask {mask:#x} out of range for n={n}")
         if "weight" not in item:
             raise ValueError("certificate entry needs a 'weight' field")
-        cuts.append(cut)
-        weights.append(parse_rational(item["weight"]))
-    return CutCertificate(n=n, cuts=tuple(cuts), weights=tuple(weights))
+        ratio = _int_ratio(item["weight"])
+        if ratio is None:
+            w = parse_rational(item["weight"])
+            p, q = w.numerator, w.denominator
+        else:
+            p, q = ratio
+        masks.append(mask)
+        nums.append(p)
+        dens.append(q)
+    return _certificate(n, masks, *_over_one_denominator(nums, dens))
 
 
 def loads_certificate(text: str) -> CutCertificate:

@@ -30,6 +30,10 @@ if TYPE_CHECKING:
 
 RationalLike = int | Fraction
 
+# Digits one rational token of a document may hold (io), and so also
+# the digits of a certificate's common denominator (fullcut).
+MAX_TOKEN_DIGITS = 4300
+
 _ZERO = Fraction(0)
 
 

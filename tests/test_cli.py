@@ -480,6 +480,27 @@ def test_verify_cert_rejects_non_integer_members(cli, write, members):
     assert out == "" and "integer vertices" in err
 
 
+def test_certificate_with_a_huge_common_denominator_exits_3_fast(cli, write):
+    """Every cut of n=12 weighted 1/p, p a distinct prime from 100003 up:
+    the weights' lcm passes MAX_TOKEN_DIGITS digits, and both readers
+    of the certificate reject it before scaling any weight to it."""
+    top = 160000
+    sieve = bytearray([1]) * top
+    for p in range(2, int(top**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, top, p)))
+    primes = [p for p in range(100003, top) if sieve[p]][:4094]
+    assert len(primes) == 4094
+    doc = {"n": 12, "cuts": [{"mask": mask, "weight": f"1/{p}"} for mask, p in zip(range(1, 4095), primes)]}
+    cert = write(json.dumps(doc))
+    for argv in (("verify-cert", "--metric", write(metric_of_ints(12, [1] * 66))), ("embed", "l1")):
+        start = time.perf_counter()
+        code, out, err = cli(*argv, "--cert", cert)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == "" and "common denominator of more than 4300 digits" in err
+
+
 # ---------------------------------------------------------------------------
 # kernel
 

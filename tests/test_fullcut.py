@@ -1,15 +1,18 @@
 """Sufficient condition, cut certificates, and the kernel basis."""
 
+import json
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from cutcones.cut_algebra import Cut, cut_metric_vector, enumerate_cuts
+from cutcones.cut_algebra import Cut, combine_cuts, cut_metric_vector, enumerate_cuts
 from cutcones import fullcut
 from cutcones.fullcut import (
+    CertificateReport,
     CutCertificate,
     _cut_rank,
     candidate_solution,
@@ -21,7 +24,8 @@ from cutcones.fullcut import (
     sufficient_condition,
     verify_cut_certificate,
 )
-from cutcones.metric import Metric, num_pairs, split_pairs, summarize
+from cutcones.io import certificate_to_json, loads_certificate, rational_to_json
+from cutcones.metric import Metric, num_pairs, split_pairs, summarize, vertex_pairs
 from cutcones.oracle import random_cut_combination, random_semimetric
 from cutcones.sig import cocktail_party_graph, path_graph, truncated_metric, hypercube_graph
 
@@ -127,6 +131,118 @@ def test_verify_requires_matching_size():
     cert, _ = half_weight_path_certificate()
     with pytest.raises(ValueError):
         verify_cut_certificate(cert, metric_of_ints(4, [1] * 6))
+
+
+# ---------------------------------------------------------------------------
+# the stored integer form against Cut and Fraction objects
+
+
+def _weight_token(rng, w):
+    """w as one of the weight forms a certificate document may hold."""
+    form = rng.randrange(5)
+    if form == 0 and w.denominator == 1:
+        return w.numerator  # a JSON integer
+    if form == 1:
+        k = rng.randint(2, 3)  # unreduced, as "2/4" or "-6/8"
+        return f"{w.numerator * k}/{w.denominator * k}"
+    if 100 % w.denominator == 0:
+        if form == 2:
+            return str(Decimal(w.numerator) / Decimal(w.denominator))  # "0.25"
+        if form == 3:
+            return w  # a bare JSON decimal: written as a float, read back exactly
+    return str(w)  # "p" or "p/q"
+
+
+def _cut_item(rng, c):
+    if rng.random() < 0.3:
+        return {"mask": c.members}
+    members = list(c.member_list)
+    members += rng.sample(members, min(len(members), rng.randint(0, 2)))  # listed twice
+    rng.shuffle(members)
+    return {"members": members}
+
+
+def _document(rng, n, cuts, weights):
+    items = [dict(_cut_item(rng, c), weight=_weight_token(rng, w)) for c, w in zip(cuts, weights)]
+    return json.dumps({"n": n, "cuts": items}, default=float)
+
+
+def _reference_report(n, cuts, weights, d):
+    """The report verify_cut_certificate must give, from Cut and
+    Fraction objects: combine_cuts (itself checked against the sum by
+    definition), then a Fraction comparison pair by pair."""
+    built = combine_cuts(n, ((c.members, w) for c, w in zip(cuts, weights)))
+    assert built == tuple(
+        sum((w for c, w in zip(cuts, weights) if c.separates(i, j)), F(0))
+        for i, j in vertex_pairs(n)
+    )
+    negatives = tuple((c, w) for c, w in zip(cuts, weights) if w < 0)
+    mismatch = next(
+        ((pair, got, want) for pair, got, want in zip(vertex_pairs(n), built, d.d) if got != want),
+        None,
+    )
+    return CertificateReport(not negatives and mismatch is None, negatives, mismatch)
+
+
+def _assert_same_certificate(cert, other, cuts, weights):
+    assert cert == other and hash(cert) == hash(other)
+    assert cert.cuts == other.cuts == tuple(cuts)
+    assert cert.weights == other.weights == tuple(map(F, weights))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_integer_certificates_equal_the_object_form(n):
+    rng = random.Random(f"integer-form/{n}")
+    full = (1 << n) - 1
+    for _ in range(4):
+        # any masks (trivial ones and repeats too), zero and negative weights
+        count = rng.choice([0, 1, rng.randrange(1 << n), 1 << n])
+        cuts = [Cut(n, rng.randint(0, full)) for _ in range(count)]
+        weights = [F(rng.randint(-4, 12), rng.choice([1, 2, 3, 4, 6, 10])) for _ in cuts]
+        cert = loads_certificate(_document(rng, n, cuts, weights))
+        _assert_same_certificate(cert, CutCertificate(n, cuts, weights), cuts, weights)
+        doc = certificate_to_json(cert)
+        assert [item["weight"] for item in doc["cuts"]] == list(map(rational_to_json, weights))
+        built = Metric(n, combine_cuts(n, ((c.members, w) for c, w in zip(cuts, weights))))
+        assert certificate_metric(cert) == built
+        p = rng.randrange(num_pairs(n))
+        bumped = Metric(n, built.d[:p] + (built.d[p] + F(1, 3),) + built.d[p + 1:])
+        for d in (built, bumped, built.scaled(F(3, 2))):
+            assert verify_cut_certificate(cert, d) == _reference_report(n, cuts, weights, d)
+
+        # a full weight vector in enumerate_cuts order, zeros dropped
+        vector = [F(rng.randint(-1, 6), rng.choice([1, 4, 6])) * rng.randint(0, 1) for _ in range(full - 1)]
+        kept = [(c, w) for c, w in zip(enumerate_cuts(n), vector) if w]
+        cuts, weights = [c for c, _ in kept], [w for _, w in kept]
+        cert = certificate_from_weights(n, vector)
+        _assert_same_certificate(cert, CutCertificate(n, cuts, weights), cuts, weights)
+        _assert_same_certificate(cert, loads_certificate(_document(rng, n, cuts, weights)), cuts, weights)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_sufficient_certificate_is_the_reduced_candidate(n):
+    rng = random.Random(f"sufficient-form/{n}")
+    d = Metric(n, tuple(F(rng.randint(60, 63), 3) for _ in range(num_pairs(n))))
+    verdict = sufficient_condition(d)
+    assert verdict.status == "member"
+    assert verdict.certificate == certificate_from_weights(n, candidate_solution(d))
+
+
+def test_certificate_common_denominator_is_capped():
+    """Weights 1/p over distinct primes p: the lcm of the denominators
+    passes MAX_TOKEN_DIGITS digits within a few hundred of them and is
+    rejected there, whichever way the certificate is built."""
+    primes = [p for p in range(100003, 130000) if all(p % k for k in range(2, int(p**0.5) + 1))]
+    cuts = [Cut(12, 1)] * len(primes)
+    weights = [F(1, p) for p in primes]
+    with pytest.raises(ValueError, match="common denominator of more than 4300 digits"):
+        CutCertificate(12, cuts, weights)
+    with pytest.raises(ValueError, match="common denominator"):
+        loads_certificate(json.dumps({"n": 12, "cuts": [{"mask": 1, "weight": f"1/{p}"} for p in primes]}))
+    with pytest.raises(ValueError, match="common denominator"):
+        certificate_from_weights(12, weights + [F(0)] * (4094 - len(weights)))
+    # well within the cap, and reduced from unreduced tokens
+    assert loads_certificate('{"n": 3, "cuts": [{"mask": 1, "weight": "2/4"}]}')._denominator == 2
 
 
 # ---------------------------------------------------------------------------

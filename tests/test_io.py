@@ -1,6 +1,7 @@
 """Exact-rational JSON formats and matrix text serialization."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,28 @@ def test_certificate_document_errors():
         certificate_from_json({"n": 4, "cuts": [{"mask": -1, "weight": 1}]})
     with pytest.raises(ValueError):
         certificate_from_json({"n": 4, "cuts": {"mask": 1}})
+
+
+@pytest.mark.parametrize(
+    "cuts, n, message",
+    [
+        ('[{"members": [1, 5, 0], "weight": 1}]', 4, "vertex 5 out of range 1..4"),
+        ('[{"members": [1], "weight": 1}]', 0, "vertex 1 out of range 1..0"),
+        ('[{"members": [], "weight": 1}]', 1, "need at least 2 vertices, got n=1"),
+        ('[{"mask": 5, "weight": 1}]', 1, "need at least 2 vertices, got n=1"),
+        ('[{"mask": 16, "weight": 1}]', 4, "bitmask 0x10 out of range for n=4"),
+        ('[{"mask": -1, "weight": 1}]', 4, "bitmask -0x1 out of range for n=4"),
+        ('[{"members": [9], "weight": "x"}]', 4, "vertex 9 out of range"),
+        ('[{"members": [2, 2], "weight": "x"}]', 4, "not a rational: 'x'"),
+        ('[{"members": [2], "weight": "1/0"}]', 4, "not a rational: '1/0'"),
+        ('[{"members": [2], "weight": true}]', 4, "not a rational: True"),
+    ],
+)
+def test_certificate_entry_errors_name_the_first_fault(cuts, n, message):
+    """Each entry is checked in turn: its cut (vertices in order, then
+    n, then the mask's range), then its weight."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        loads_certificate('{"n": %d, "cuts": %s}' % (n, cuts))
 
 
 # ---------------------------------------------------------------------------
