@@ -201,8 +201,8 @@ def _cmd_cutcone(args: argparse.Namespace) -> int:
 
 def _cmd_verify_cert(args: argparse.Namespace) -> int:
     _stdin_once(args, "cert", "metric")
-    cert = cio.loads_certificate(_read_text(args.cert))
     d = cio.loads_metric(_read_text(args.metric))
+    cert = cio.loads_certificate(_read_text(args.cert), d.n)
     report = fullcut.verify_cut_certificate(cert, d)
     doc: dict[str, Any] = {
         "command": "verify-cert",
@@ -287,12 +287,13 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     if args.kind == "l1":
+        d = None
         if args.metric:  # omitted, it means no check, not stdin
             _stdin_once(args, "cert", "metric")
-        cert = cio.loads_certificate(_read_text(args.cert))
-        points = embeddings.l1_embedding(cert)
-        if args.metric:
             d = cio.loads_metric(_read_text(args.metric))
+        cert = cio.loads_certificate(_read_text(args.cert), None if d is None else d.n)
+        points = embeddings.l1_embedding(cert)
+        if d is not None:
             report = embeddings.verify_isometry(points, d)
             if not report.ok:
                 for (i, j), got, want in report.mismatches:

@@ -213,17 +213,13 @@ def verify_cut_certificate(cert: CutCertificate, d: Metric) -> CertificateReport
 # the minimum-norm candidate and the sufficient condition
 
 
-def _slacks(d: Metric, max_n: int) -> tuple[list[int], list[int], int]:
-    """The cut masks in enumerate_cuts order, each cut's slack
-    s_C - |C|(n-|C|) Tr(d)/(m+1) as an integer numerator, and the
-    slacks' common denominator, for d.n <= max_n."""
-    return _cleared_slacks(d.n, *integer_entries(d.d), max_n)
-
-
 def _cleared_slacks(
     n: int, scale: int, dd: Sequence[int], max_n: int
 ) -> tuple[list[int], list[int], int]:
-    """_slacks of the metric dd / scale, given cleared of denominators.
+    """The cut masks in enumerate_cuts order, each cut's slack
+    s_C - |C|(n-|C|) Tr(d)/(m+1) as an integer numerator, and the
+    slacks' common denominator, for the metric d = dd / scale given
+    cleared of denominators, n <= max_n.
 
     Every cut trace s_C is read off one cut_traces table of dd.
     Complements sit at mirrored ranks and have equal slack, so only
@@ -253,7 +249,7 @@ def candidate_solution(
     Always satisfies the linear system exactly (checked property, not
     assumption); entries may be negative.  Linear in d.
     """
-    _, slacks, den = _slacks(d, max_n)
+    _, slacks, den = _cleared_slacks(d.n, *integer_entries(d.d), max_n)
     den <<= d.n - 2
     return tuple(Fraction(s, den) for s in slacks)
 
@@ -285,7 +281,7 @@ def sufficient_condition(
     slack is invariant under complementation.  If all pass, d is in
     the cut cone and the candidate weights form a certificate.  It is
     re-checked in integers first, RuntimeError if it fails: sum of
-    slack_C delta(C) must be (m+1) 2^{n-2} d, cleared as in _slacks.
+    slack_C delta(C) must be (m+1) 2^{n-2} d, cleared as in _cleared_slacks.
     """
     n = d.n
     scale, dd = integer_entries(d.d)

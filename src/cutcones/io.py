@@ -327,13 +327,20 @@ def _weight_token(k: int, den: int) -> int | str:
 _INT_TYPE = frozenset({int})
 
 
-def certificate_from_json(obj: Any) -> CutCertificate:
+def certificate_from_json(obj: Any, n_metric: int | None = None) -> CutCertificate:
     """A certificate document, read as cut bitmasks and weight ratios
     p / q: "p/q" and "p" tokens by _int_ratio, any other weight by
-    parse_rational."""
+    parse_rational.
+
+    Given n_metric, the vertex count of the metric it is checked
+    against, a document on any other n is rejected before any cut is
+    read: a hostile n must not cost a bitmask or a point per vertex.
+    """
     if not isinstance(obj, dict):
         raise ValueError("certificate document must be a JSON object")
     n = _require_int(obj, "n")
+    if n_metric is not None and n != n_metric:
+        raise ValueError(f"certificate for n={n} vs metric on n={n_metric}")
     items = obj.get("cuts")
     if not isinstance(items, list):
         raise ValueError("field 'cuts' must be a list")
@@ -375,8 +382,8 @@ def certificate_from_json(obj: Any) -> CutCertificate:
     return _certificate(n, masks, *_over_one_denominator(nums, dens))
 
 
-def loads_certificate(text: str) -> CutCertificate:
-    return certificate_from_json(loads_json(text))
+def loads_certificate(text: str, n_metric: int | None = None) -> CutCertificate:
+    return certificate_from_json(loads_json(text), n_metric)
 
 
 def farkas_to_json(n: int, y: Iterable[RationalLike]) -> dict[str, Any]:

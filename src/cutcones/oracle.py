@@ -1,5 +1,4 @@
-"""Exact feasibility oracle for cut-cone and pair-cut-cone membership,
-plus seeded random metric generators for cross-checking closed forms.
+"""Exact feasibility oracle for cut-cone and pair-cut-cone membership.
 
 Membership of d in the cone generated by the columns of A is the
 feasibility of A w = d, w >= 0.  One phase-I simplex, `_phase_one`,
@@ -89,19 +88,16 @@ return identical certificates.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import isqrt, prod
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from cutcones.cut_algebra import RationalMatrix, combine_cuts, cut_masks
-from cutcones.metric import (
-    Metric, RationalLike, integer_entries, pair_table, split_pairs, vertex_pairs,
-)
+from cutcones.cut_algebra import RationalMatrix, cut_masks
+from cutcones.metric import Metric, RationalLike, integer_entries, split_pairs, vertex_pairs
 
 _ZERO = Fraction(0)
 
@@ -313,7 +309,7 @@ def _solve(gens: _Generators, rhs: Sequence[Fraction]) -> FeasibilityResult:
     if not result.feasible:
         _check_farkas(gens.columns, rhs, result.farkas)
         return result
-    witness = tuple(w / s_b for w in result.witness)
+    witness = tuple(w / s_b if w else w for w in result.witness)
     _check_witness(gens.columns, rhs, witness)
     return replace(result, witness=witness)
 
@@ -371,10 +367,6 @@ def lp_feasibility(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> Feasibili
 # the cones of cut metrics, column by column from bitmasks
 
 
-def _pair_cut_masks(n: int) -> list[int]:
-    return [1 << (i - 1) | 1 << (j - 1) for i, j in vertex_pairs(n)]
-
-
 @lru_cache(maxsize=8)
 def _cut_cone(kind: str, n: int) -> _Generators:
     """The generators of the cut cone ("cut": the 0/1 column delta(mask)
@@ -383,7 +375,7 @@ def _cut_cone(kind: str, n: int) -> _Generators:
     use."""
     ends = [(i - 1, j - 1) for i, j in vertex_pairs(n)]
     if kind == "pair":
-        masks, singles = _pair_cut_masks(n), 0
+        masks, singles = [1 << i | 1 << j for i, j in ends], 0
     else:
         # cut_masks is graded: the n singletons, then the pairs in
         # vertex_pairs order, as far as the first half reaches
@@ -446,77 +438,3 @@ def paircut_farkas(d: Metric, pair: tuple[int, int]) -> tuple[int, ...]:
     y = tuple((n - 2) * ((n - 4) * (q == k) - len(k & q)) + 2 for q in map(set, vertex_pairs(n)))
     _check_farkas(_cut_cone("pair", n).columns, d.d, y)
     return y
-
-
-# ---------------------------------------------------------------------------
-# seeded random generators (for property tests and cross-checks)
-
-
-def random_rational(rng: random.Random, *, low: int, high: int, denom: int) -> Fraction:
-    """Uniform p/denom with low <= p/denom <= high."""
-    return Fraction(rng.randint(low * denom, high * denom), denom)
-
-
-def random_l1_points_metric(n: int, rng: random.Random) -> Metric:
-    """Metric of n random points of [0, 8]^3, coordinates in quarter
-    steps, under the l1 norm.
-
-    Always embeds in l1 by construction, hence lies in the cut cone.
-    """
-    pts = [tuple(random_rational(rng, low=0, high=8, denom=4) for _ in range(3)) for _ in range(n)]
-    return Metric.from_function(
-        n, lambda i, j: sum(abs(a - b) for a, b in zip(pts[i - 1], pts[j - 1]))
-    )
-
-
-def _random_combination(
-    n: int, rng: random.Random, masks: Iterable[int], high: int, denom: int
-) -> Metric:
-    """Combination of the cut metrics of masks, each weight p/denom with
-    0 <= p/denom <= high."""
-    terms = [(mask, random_rational(rng, low=0, high=high, denom=denom)) for mask in masks]
-    return Metric(n, combine_cuts(n, terms))
-
-
-def random_cut_combination(n: int, rng: random.Random) -> Metric:
-    """Nonnegative random combination of all nontrivial cut metrics,
-    weights in [0, 3] in quarter steps.
-
-    In the cut cone by construction.
-    """
-    return _random_combination(n, rng, cut_masks(n), high=3, denom=4)
-
-
-def random_paircut_combination(
-    n: int, rng: random.Random, *, high: int = 3, denom: int = 4
-) -> Metric:
-    """Nonnegative random combination of pair-cut metrics only, weights
-    p/denom in [0, high].
-
-    In the pair-cut cone (hence the cut cone) by construction.
-    """
-    return _random_combination(n, rng, _pair_cut_masks(n), high, denom)
-
-
-def random_semimetric(
-    n: int,
-    rng: random.Random,
-    *,
-    low: int = 1,
-    high: int = 8,
-    denom: int = 4,
-) -> Metric:
-    """Random semi-metric: random positive entries repaired by taking
-    shortest paths over the complete graph (Floyd-Warshall), which
-    enforces every triangle inequality without leaving the rationals.
-    May or may not belong to either cone.
-    """
-    values = [random_rational(rng, low=low, high=high, denom=denom) for _ in vertex_pairs(n)]
-    dist = pair_table(n, values)
-    for k, row_k in enumerate(dist):
-        for row_i in dist:
-            dik = row_i[k]
-            for j, dkj in enumerate(row_k):
-                if dik + dkj < row_i[j]:
-                    row_i[j] = dik + dkj
-    return Metric(n, tuple(x for i, row in enumerate(dist) for x in row[i + 1 :]))

@@ -36,15 +36,7 @@ from cutcones.fullcut import (
 )
 from cutcones.io import matrix_to_text
 from cutcones.metric import Metric, num_pairs, summarize
-from cutcones.oracle import (
-    cutcone_membership,
-    paircut_membership_exact,
-    random_cut_combination,
-    random_l1_points_metric,
-    random_paircut_combination,
-    random_rational,
-    random_semimetric,
-)
+from cutcones.oracle import cutcone_membership, paircut_membership_exact
 from cutcones.paircut import paircut_membership
 from cutcones.sig import (
     SimpleGraph,
@@ -59,6 +51,13 @@ from cutcones.sig import (
 
 from conftest import FIGURE_EIGHT_EDGES
 from exact_rank import apply_full_cut_matrix, integer_arrays, matrix_rank
+from instances import (
+    random_cut_combination,
+    random_l1_points_metric,
+    random_paircut_combination,
+    random_rational,
+    random_semimetric,
+)
 
 F = Fraction
 

@@ -501,6 +501,37 @@ def test_certificate_with_a_huge_common_denominator_exits_3_fast(cli, write):
         assert out == "" and "common denominator of more than 4300 digits" in err
 
 
+@pytest.mark.parametrize("command", [("verify-cert",), ("embed", "l1")], ids=["verify-cert", "embed-l1"])
+def test_certificate_on_a_huge_n_exits_3_fast(write, command):
+    """The 68-byte certificate of n = 10^9 against a metric on 3
+    vertices: both commands read the metric first and reject the
+    certificate's n before building a bitmask or a point per vertex.
+    A subprocess with a timeout makes a regression fail, not hang."""
+    cert = write('{"n": 1000000000, "cuts": [{"members": [1000000000], "weight": 1}]}\n')
+    metric = write('{"n": 3, "d": [1, 1, 1]}')
+    src = Path(cutcones.__file__).parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutcones.cli", *command, "--cert", cert, "--metric", metric],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: certificate for n=1000000000 vs metric on n=3\n"
+
+
+@pytest.mark.parametrize("command", [("verify-cert",), ("embed", "l1")], ids=["verify-cert", "embed-l1"])
+def test_certificate_on_another_n_exits_3(cli, write, command, monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("certificate cuts read")
+
+    monkeypatch.setattr(cio, "_Bits", forbidden)
+    cert = write(path_certificate())
+    code, out, err = cli(*command, "--cert", cert, "--metric", write(metric_of_ints(4, [1] * 6)))
+    assert (code, out, err) == (3, "", "error: certificate for n=5 vs metric on n=4\n")
+
+
 # ---------------------------------------------------------------------------
 # kernel
 
@@ -1039,9 +1070,7 @@ def assert_one_line_layout(text):
 
 
 @pytest.mark.parametrize("name", list(LAYOUT_COMMANDS))
-def test_every_json_document_has_the_indent2_layout(cli, write, tmp_path, name):
-    # named for the indent=2 layout this pinned before; the name keeps the
-    # test ids stable, and the check is now the one-line layout
+def test_every_json_document_is_one_line(cli, write, tmp_path, name):
     paths = {
         "member": write(truncated_metric(path_graph(5))),
         "cert": write(path_certificate()),

@@ -374,6 +374,18 @@ def test_certificate_entry_errors_name_the_first_fault(cuts, n, message):
         loads_certificate('{"n": %d, "cuts": %s}' % (n, cuts))
 
 
+def test_certificate_on_another_n_is_rejected_before_its_cuts():
+    """Given the metric's n, a certificate on any other n is refused
+    before its first entry is read, whatever that entry holds."""
+    text = '{"n": 1000000000, "cuts": [{"members": [1000000000], "weight": "x"}]}'
+    with pytest.raises(ValueError, match=re.escape("certificate for n=1000000000 vs metric on n=3")):
+        loads_certificate(text, 3)
+    with pytest.raises(ValueError, match="certificate for n=4 vs metric on n=5"):
+        certificate_from_json({"n": 4, "cuts": 5}, 5)
+    doc = {"n": 4, "cuts": [{"members": [1, 3], "weight": "1/2"}]}
+    assert certificate_from_json(doc, 4) == certificate_from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # Farkas vectors
 

@@ -22,11 +22,11 @@ from cutcones.metric import (
     validate_metric,
     vertex_pairs,
 )
-from cutcones.oracle import random_semimetric
 from cutcones.paircut import paircut_membership, paircut_weights
 from cutcones.sig import SimpleGraph
 
 from conftest import metric_of_ints
+from instances import random_semimetric
 
 
 def pair_cut_metric(n: int, p: int, q: int) -> Metric:

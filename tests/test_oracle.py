@@ -1,4 +1,5 @@
-"""Exact LP feasibility oracle and the seeded instance generators."""
+"""Exact LP feasibility oracle, and the seeded instance generators of
+`instances.py`."""
 
 import hashlib
 import random
@@ -28,11 +29,6 @@ from cutcones.oracle import (
     cutcone_membership,
     lp_feasibility,
     paircut_membership_exact,
-    random_cut_combination,
-    random_l1_points_metric,
-    random_paircut_combination,
-    random_rational,
-    random_semimetric,
 )
 from cutcones.paircut import paircut_membership, paircut_weights
 from cutcones.sig import (
@@ -46,6 +42,13 @@ from cutcones.sig import (
 
 from conftest import metric_of_ints
 from exact_rank import times
+from instances import (
+    random_cut_combination,
+    random_l1_points_metric,
+    random_paircut_combination,
+    random_rational,
+    random_semimetric,
+)
 from reference_simplex import reference_phase_one
 
 F = Fraction

@@ -7,7 +7,6 @@ import pytest
 
 from cutcones.cut_algebra import cut_metric_vector, inverse_square_cut_matrix, pair_cut
 from cutcones.metric import Metric, summarize, vertex_pairs
-from cutcones.oracle import random_paircut_combination, random_semimetric
 from cutcones.paircut import (
     constant_star_shortcut,
     necessary_condition,
@@ -25,6 +24,7 @@ from cutcones.sig import (
 
 from conftest import metric_of_ints
 from exact_rank import times
+from instances import random_paircut_combination, random_semimetric
 
 F = Fraction
 
