@@ -223,7 +223,7 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
 def _cmd_sig_verify(args: argparse.Namespace) -> int:
     _stdin_once(args, "metric", "graph")
     d = cio.loads_metric(_read_text(args.metric))
-    g = cio.loads_graph(_read_text(args.graph))
+    g = cio.loads_graph(_read_text(args.graph), d.n)
     report = sig.verify_sig_metric(d, g)
     doc = {
         "command": "sig-verify",
@@ -238,7 +238,7 @@ def _cmd_sig_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sig_star(args: argparse.Namespace) -> int:
-    lengths = [cio.parse_rational(tok) for tok in args.lengths]
+    lengths = cio._rationals(args.lengths, "--a lengths")
     report = sig.star_graph_obstruction(args.n, lengths)
     doc = {
         "command": "sig-star-obstruction",

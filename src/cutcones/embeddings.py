@@ -17,15 +17,17 @@ non-edges.  Since the truncated metric of a connected graph has
 sphere-of-influence graph exactly G, the embedding also realizes G as
 the SIG of n points.
 
-induced_metric clears the coordinates of denominators once and takes
-every distance in integers; verify_isometry compares it with d.
+induced_metric and verify_isometry clear the coordinates of
+denominators once and take every distance between the integer rows.
+verify_isometry compares them with d by cross-multiplying, and builds
+a Fraction only for a pair that mismatches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations
 
 from cutcones.cut_algebra import Cut
 from cutcones.fullcut import CutCertificate
@@ -59,28 +61,22 @@ class PointSet:
         return len(self.points[0])
 
 
-def point_distance(
-    x: Sequence[Fraction], y: Sequence[Fraction], norm: str
-) -> Fraction:
-    if len(x) != len(y):
-        raise ValueError("points must share one dimension")
-    diffs = [abs(a - b) for a, b in zip(x, y)]
-    if norm == "l1":
-        return Fraction(sum(diffs))
-    if norm == "linf":
-        return Fraction(max(diffs, default=0))
-    raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
-
-
-def induced_metric(points: PointSet) -> Metric:
-    """Pairwise-distance metric of the point set (needs >= 2 points),
-    taken between integer rows over the coordinates' common denominator."""
+def _distances(points: PointSet) -> tuple[int, list[int]]:
+    """Common denominator q of the coordinates, and q times each pairwise
+    distance in pair order, taken between the points' integer rows."""
     n, dim = len(points.points), points.dimension
     scale, flat = integer_entries(x for p in points.points for x in p)
     rows = [flat[k * dim : (k + 1) * dim] for k in range(n)]
-    return Metric.from_function(
-        n, lambda i, j: point_distance(rows[i - 1], rows[j - 1], points.norm) / scale
-    )
+    norm = sum if points.norm == "l1" else lambda diffs: max(diffs, default=0)
+    return scale, [
+        norm([abs(a - b) for a, b in zip(x, y)]) for x, y in combinations(rows, 2)
+    ]
+
+
+def induced_metric(points: PointSet) -> Metric:
+    """Pairwise-distance metric of the point set (needs >= 2 points)."""
+    scale, dists = _distances(points)
+    return Metric(len(points.points), tuple(Fraction(x, scale) for x in dists))
 
 
 @dataclass(frozen=True)
@@ -96,13 +92,15 @@ class IsometryReport:
 
 
 def verify_isometry(points: PointSet, d: Metric) -> IsometryReport:
-    """Exactly compare every pairwise distance against d."""
+    """Exactly compare every pairwise distance against d, in integers:
+    q times a distance x against d's entry a / b as x b = a q."""
     if len(points.points) != d.n:
         raise ValueError(f"{len(points.points)} points vs metric on {d.n} vertices")
+    scale, dists = _distances(points)
     mismatches = tuple(
-        (pair, got, want)
-        for pair, got, want in zip(vertex_pairs(d.n), induced_metric(points).d, d.d)
-        if got != want
+        (pair, Fraction(x, scale), want)
+        for pair, x, want in zip(vertex_pairs(d.n), dists, d.d)
+        if x * want.denominator != want.numerator * scale
     )
     return IsometryReport(norm=points.norm, mismatches=mismatches)
 

@@ -39,12 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from cutcones.cut_algebra import DEFAULT_MAX_N, Cut, _cut_sum, _table_cut_sum, cut_masks, cut_traces
 from cutcones.metric import (
-    MAX_TOKEN_DIGITS, Metric, RationalLike, as_fraction, integer_entries, num_pairs, vertex_pairs,
+    Metric, RationalLike, _over_one_denominator, as_fraction, integer_entries, num_pairs, vertex_pairs,
 )
 
 _ZERO = Fraction(0)
@@ -66,8 +66,8 @@ class CutCertificate:
     equal integers and compare and hash by value.  cuts (Cut objects)
     and weights (Fractions) are views built on first use.  The
     constructor takes cuts and int or Fraction weights; it raises
-    ValueError on a count mismatch, a cut on another n, or a common
-    denominator of more than MAX_TOKEN_DIGITS digits.
+    ValueError on a count mismatch, a cut on another n, a common
+    denominator of more than MAX_TOKEN_DIGITS digits, or n < 2.
     """
 
     n: int
@@ -88,6 +88,8 @@ class CutCertificate:
         self._fill(n, [c.members for c in cuts], numerators, den)
 
     def _fill(self, n: int, masks: Sequence[int], numerators: Sequence[int], den: int) -> None:
+        if n < 2:
+            raise ValueError(f"need at least 2 vertices, got n={n}")
         # frozen: the fields go straight into the instance dict
         self.__dict__.update(
             n=n, _masks=tuple(masks), _numerators=tuple(numerators), _denominator=den
@@ -110,35 +112,6 @@ def _certificate(
     cert = object.__new__(CutCertificate)
     cert._fill(n, masks, numerators, den)
     return cert
-
-
-def _over_one_denominator(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
-    """The fractions nums[k] / dens[k], dens[k] > 0, as integer
-    numerators over their least common denominator, and that
-    denominator.
-
-    The lcm of the dens is folded over the distinct ones, and
-    ValueError is raised as soon as it holds more than MAX_TOKEN_DIGITS
-    digits, before any numerator is scaled: the numerators are as wide
-    as it is.  One gcd then reduces it to the least common denominator,
-    should some fraction not be in lowest terms.
-    """
-    distinct = set(dens)
-    den = 1
-    for q in distinct:
-        den = lcm(den, q)
-        # below 2^(3D) < 10^D it has at most D digits
-        if den.bit_length() > 3 * MAX_TOKEN_DIGITS and den >= 10**MAX_TOKEN_DIGITS:
-            raise ValueError(
-                f"certificate weights have a common denominator of more than "
-                f"{MAX_TOKEN_DIGITS} digits"
-            )
-    scale = {q: den // q for q in distinct}
-    numerators = [k * scale[q] for k, q in zip(nums, dens)]
-    g = gcd(den, *numerators)
-    if g > 1:
-        return [k // g for k in numerators], den // g
-    return numerators, den
 
 
 def certificate_metric(cert: CutCertificate) -> Metric:

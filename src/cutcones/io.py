@@ -12,6 +12,12 @@ rejected before any value is built, since "1e1000000" alone would cost
 a million-digit integer.  Plain JSON integers are left to Python's own
 limit on integer string conversion (4300 digits by default).
 
+Every token is read by one function, _ratio, into integers p / q.  The
+rationals of one input (a metric's entries, a certificate's weights,
+the star obstruction's --a lengths) may have a common denominator of
+at most MAX_TOKEN_DIGITS digits, like one token, checked before any
+layer sees them (metric._capped_lcm).
+
 Formats:
   metric       {"n": 5, "d": [1, "1/2", ...]}         (lex pair order)
   graph        {"n": 4, "edges": [[1, 2], ...]}
@@ -23,11 +29,11 @@ Formats:
 
 A certificate is read straight into the integer form CutCertificate
 stores: members (integer vertices in 1..n) or mask (0 .. 2^n - 1)
-become a bitmask, and "p/q" and "p" weight tokens become ints, any
-other weight going through parse_rational.  The lcm of the weights'
-denominators may hold at most MAX_TOKEN_DIGITS digits, like one token;
-it is checked before any weight is scaled to it.  certificate_to_json
-writes each weight's reduced token from its numerator by one gcd.
+become a bitmask, and each weight's p / q is scaled to the capped
+common denominator.  certificate_to_json writes each weight's reduced
+token from its numerator by one gcd.  Given the metric's n, the
+certificate and graph readers reject a document on any other n before
+they build a cut or a row.
 
 Every JSON document, in a file or on stdout, is written by dumps_json:
 json.dumps(doc) on one line.  dumps_text renders the same document as
@@ -47,8 +53,10 @@ from typing import Any, Iterable, Iterator
 
 from cutcones.cut_algebra import RationalMatrix
 from cutcones.embeddings import PointSet
-from cutcones.fullcut import CutCertificate, _certificate, _over_one_denominator
-from cutcones.metric import MAX_TOKEN_DIGITS, Metric, RationalLike, num_pairs
+from cutcones.fullcut import CutCertificate, _certificate
+from cutcones.metric import (
+    MAX_TOKEN_DIGITS, Metric, RationalLike, _capped_lcm, _over_one_denominator, num_pairs,
+)
 from cutcones.sig import SimpleGraph
 
 MAX_DECIMAL_EXPONENT = 4300
@@ -71,11 +79,15 @@ def _check_token_size(token: str) -> None:
         )
 
 
-def _int_ratio(value: Any) -> tuple[int, int] | None:
-    """(p, q), q > 0 and not necessarily coprime, for an exact int or an
-    ASCII "p/q" or "p" string (p an optional "-" and digits, q digits
-    and nonzero) of at most MAX_TOKEN_DIGITS characters, built with
-    int(); None for any other value."""
+def _ratio(value: Any) -> tuple[int, int]:
+    """(p, q), q > 0 and not necessarily coprime, for a token
+    parse_rational accepts; ValueError for any other value.
+
+    An exact int, and an ASCII "p/q" or "p" string (p an optional "-"
+    and digits, q digits and nonzero) of at most MAX_TOKEN_DIGITS
+    characters, are built with int(), to the value Fraction(str) gives;
+    every other string goes through Fraction(str).
+    """
     if type(value) is int:
         return value, 1
     if type(value) is str and len(value) <= MAX_TOKEN_DIGITS and value.isascii():
@@ -84,7 +96,17 @@ def _int_ratio(value: Any) -> tuple[int, int] | None:
             q = int(den) if slash else 1
             if q:
                 return int(num), q
-    return None
+    if isinstance(value, str):
+        _check_token_size(value)
+        try:
+            value = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational: {value!r}") from exc
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    raise ValueError(f"not a rational: {value!r} ({type(value).__name__})")
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -93,28 +115,16 @@ def parse_rational(value: Any) -> Fraction:
     Strings may be "p/q", an integer literal, or a decimal literal;
     all are parsed exactly, within the token size limits.  Floats are
     rejected: they have already lost the value.
-
-    An exact int, and an ASCII "p/q" or "p" string (p an optional "-"
-    and digits, q digits and nonzero) of at most MAX_TOKEN_DIGITS
-    characters, are built with int() (_int_ratio), to the value
-    Fraction(str) gives; every other string goes through Fraction(str).
     """
-    ratio = _int_ratio(value)
-    if ratio is not None:
-        return Fraction(*ratio)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        _check_token_size(value)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r} ({type(value).__name__})")
+    return Fraction(*_ratio(value))
+
+
+def _rationals(values: Iterable[Any], what: str) -> list[Fraction]:
+    """parse_rational of each value, once _capped_lcm has passed their
+    denominators: what names the values in its error."""
+    ratios = list(map(_ratio, values))
+    _capped_lcm((q for _, q in ratios), what)
+    return [Fraction(p, q) for p, q in ratios]
 
 
 def format_rational(q: Fraction) -> str:
@@ -216,7 +226,7 @@ def metric_from_json(obj: Any) -> Metric:
         raise ValueError(
             f"metric on {n} vertices needs {num_pairs(n)} entries, got {len(entries)}"
         )
-    return Metric(n, tuple(map(parse_rational, entries)))
+    return Metric(n, tuple(_rationals(entries, "metric entries")))
 
 
 def dumps_metric(d: Metric) -> str:
@@ -235,10 +245,14 @@ def dumps_graph(g: SimpleGraph) -> str:
     return dumps_json({"n": g.n, "edges": [[i, j] for i, j in g.edges]})
 
 
-def graph_from_json(obj: Any) -> SimpleGraph:
+def graph_from_json(obj: Any, n_metric: int | None = None) -> SimpleGraph:
+    """A graph document; given n_metric, the metric's n, any other n is
+    rejected before a row is built."""
     if not isinstance(obj, dict):
         raise ValueError("graph document must be a JSON object")
     n = _require_int(obj, "n")
+    if n_metric is not None and n != n_metric:
+        raise ValueError(f"graph on {n} vertices vs metric on {n_metric}")
     if "edges" in obj:
         edges = obj["edges"]
         if not isinstance(edges, list):
@@ -265,8 +279,8 @@ def graph_from_json(obj: Any) -> SimpleGraph:
     raise ValueError("graph document needs an 'edges' or 'adjacency' field")
 
 
-def loads_graph(text: str) -> SimpleGraph:
-    return graph_from_json(loads_json(text))
+def loads_graph(text: str, n_metric: int | None = None) -> SimpleGraph:
+    return graph_from_json(loads_json(text), n_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +343,7 @@ _INT_TYPE = frozenset({int})
 
 def certificate_from_json(obj: Any, n_metric: int | None = None) -> CutCertificate:
     """A certificate document, read as cut bitmasks and weight ratios
-    p / q: "p/q" and "p" tokens by _int_ratio, any other weight by
-    parse_rational.
+    p / q (_ratio).
 
     Given n_metric, the vertex count of the metric it is checked
     against, a document on any other n is rejected before any cut is
@@ -341,6 +354,8 @@ def certificate_from_json(obj: Any, n_metric: int | None = None) -> CutCertifica
     n = _require_int(obj, "n")
     if n_metric is not None and n != n_metric:
         raise ValueError(f"certificate for n={n} vs metric on n={n_metric}")
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got n={n}")
     items = obj.get("cuts")
     if not isinstance(items, list):
         raise ValueError("field 'cuts' must be a list")
@@ -363,19 +378,12 @@ def certificate_from_json(obj: Any, n_metric: int | None = None) -> CutCertifica
             mask = _require_int(item, "mask")
         else:
             raise ValueError("certificate entry needs a 'members' or 'mask' field")
-        if n < 2:
-            raise ValueError(f"need at least 2 vertices, got n={n}")
         # bit_length, not 1 << n: a hostile n must not cost an n-bit int
         if not (mask >= 0 and mask.bit_length() <= n):
             raise ValueError(f"bitmask {mask:#x} out of range for n={n}")
         if "weight" not in item:
             raise ValueError("certificate entry needs a 'weight' field")
-        ratio = _int_ratio(item["weight"])
-        if ratio is None:
-            w = parse_rational(item["weight"])
-            p, q = w.numerator, w.denominator
-        else:
-            p, q = ratio
+        p, q = _ratio(item["weight"])
         masks.append(mask)
         nums.append(p)
         dens.append(q)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -30,8 +30,9 @@ if TYPE_CHECKING:
 
 RationalLike = int | Fraction
 
-# Digits one rational token of a document may hold (io), and so also
-# the digits of a certificate's common denominator (fullcut).
+# Digits one rational token may hold (io), and so also the digits of
+# the common denominator of the rationals of one input: a metric's
+# entries, a certificate's weights, the star obstruction's --a lengths.
 MAX_TOKEN_DIGITS = 4300
 
 _ZERO = Fraction(0)
@@ -136,6 +137,42 @@ def integer_entries(values: Iterable[RationalLike]) -> tuple[int, list[int]]:
     values = tuple(values)
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _capped_lcm(dens: Iterable[int], what: str) -> int:
+    """The lcm of the positive dens, folded over the distinct ones.
+
+    ValueError, naming what the dens belong to, as soon as it holds more
+    than MAX_TOKEN_DIGITS digits: D tokens of D digits each would
+    otherwise cost a D^2-digit denominator and every numerator as wide.
+    """
+    den = 1
+    for q in set(dens):
+        den = lcm(den, q)
+        # below 2^(3D) < 10^D it has at most D digits
+        if den.bit_length() > 3 * MAX_TOKEN_DIGITS and den >= 10**MAX_TOKEN_DIGITS:
+            raise ValueError(
+                f"{what} have a common denominator of more than {MAX_TOKEN_DIGITS} digits"
+            )
+    return den
+
+
+def _over_one_denominator(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
+    """The certificate weights nums[k] / dens[k], dens[k] > 0, as integer
+    numerators over their least common denominator, and that
+    denominator.
+
+    The lcm is checked by _capped_lcm before any numerator is scaled to
+    it; one gcd then reduces it to the least common denominator, should
+    some weight not be in lowest terms.
+    """
+    den = _capped_lcm(dens, "certificate weights")
+    scale = {q: den // q for q in set(dens)}
+    numerators = [k * scale[q] for k, q in zip(nums, dens)]
+    g = gcd(den, *numerators)
+    if g > 1:
+        return [k // g for k in numerators], den // g
+    return numerators, den
 
 
 def pair_table(n: int, values: Sequence[RationalLike]) -> list[list[RationalLike]]:

@@ -1,14 +1,17 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
 import argparse
+import hashlib
 import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -501,24 +504,100 @@ def test_certificate_with_a_huge_common_denominator_exits_3_fast(cli, write):
         assert out == "" and "common denominator of more than 4300 digits" in err
 
 
+def run_fast(*argv):
+    """(exit code, stdout, stderr) of `python -m cutcones.cli argv` in a
+    subprocess, which must end within 1 s.  The 30 s timeout makes a
+    regression fail, not hang."""
+    src = Path(cutcones.__file__).parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutcones.cli", *argv],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.perf_counter() - start < 1, argv
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("command", [("verify-cert",), ("embed", "l1")], ids=["verify-cert", "embed-l1"])
 def test_certificate_on_a_huge_n_exits_3_fast(write, command):
     """The 68-byte certificate of n = 10^9 against a metric on 3
     vertices: both commands read the metric first and reject the
-    certificate's n before building a bitmask or a point per vertex.
-    A subprocess with a timeout makes a regression fail, not hang."""
+    certificate's n before building a bitmask or a point per vertex."""
     cert = write('{"n": 1000000000, "cuts": [{"members": [1000000000], "weight": 1}]}\n')
     metric = write('{"n": 3, "d": [1, 1, 1]}')
-    src = Path(cutcones.__file__).parents[1]
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "cutcones.cli", *command, "--cert", cert, "--metric", metric],
-        capture_output=True, text=True, timeout=30,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert time.perf_counter() - start < 1
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == "error: certificate for n=1000000000 vs metric on n=3\n"
+    code, out, err = run_fast(*command, "--cert", cert, "--metric", metric)
+    assert (code, out) == (3, "")
+    assert err == "error: certificate for n=1000000000 vs metric on n=3\n"
+
+
+@pytest.mark.parametrize("n", [1, -3])
+def test_embed_rejects_a_certificate_on_fewer_than_2_vertices(cli, write, n):
+    code, out, err = cli("embed", "l1", "--cert", write('{"n": %d, "cuts": []}' % n))
+    assert (code, out, err) == (3, "", f"error: need at least 2 vertices, got n={n}\n")
+
+
+def test_graph_on_a_huge_n_exits_3_fast(write):
+    """`sig verify` reads the metric first and rejects the 30-byte graph
+    document of n = 10^7 before building its 10^7 adjacency rows."""
+    graph = write('{"n": 10000000, "edges": []}')
+    code, out, err = run_fast("sig", "verify", "--metric", write('{"n": 3, "d": [1, 1, 1]}'), "--graph", graph)
+    assert (code, out, err) == (3, "", "error: graph on 10000000 vertices vs metric on 3\n")
+
+
+def wide_tokens(seed, count):
+    """count tokens "(q+1)/q", q a random odd 6900-bit integer: each token
+    (at most 4157 characters) is within the token limit, while a few of
+    them have a common denominator of more than 4300 digits."""
+    rng = random.Random(seed)
+    qs = [rng.getrandbits(6900) | 1 << 6899 | 1 for _ in range(count)]
+    return [f"{q + 1}/{q}" for q in qs]
+
+
+@pytest.mark.parametrize(
+    "n, argv",
+    [
+        (10, ("cutcone", "exact")),
+        (10, ("paircut", "exact")),
+        (10, ("validate",)),
+        (14, ("paircut",)),
+    ],
+    ids=["n10-cutcone-exact", "n10-paircut-exact", "n10-validate", "n14-paircut"],
+)
+def test_metric_over_the_denominator_cap_exits_3_fast(write, n, argv):
+    metric = write(json.dumps({"n": n, "d": wide_tokens(f"wide-metric/{n}", n * (n - 1) // 2)}))
+    code, out, err = run_fast(*argv, "--metric", metric)
+    assert (code, out) == (3, "")
+    assert err == "error: metric entries have a common denominator of more than 4300 digits\n"
+
+
+def test_star_lengths_over_the_denominator_cap_exit_3_fast():
+    code, out, err = run_fast("sig", "star-obstruction", "--n", "20", "--a", *wide_tokens("wide-a", 20))
+    assert (code, out) == (3, "")
+    assert err == "error: --a lengths have a common denominator of more than 4300 digits\n"
+
+
+# sha256 prefix of each command's stdout on the metric just under the cap
+UNDER_CAP = {
+    ("paircut",): "e4e60e019330f6a0",
+    ("validate",): "c5b0516158e4786e",
+    ("paircut", "exact"): "7bc1ce4ceea682a9",
+    ("cutcone", "exact"): "2aebac2e6e716ee1",
+}
+
+
+@pytest.mark.parametrize("argv", list(UNDER_CAP), ids=" ".join)
+def test_metric_just_under_the_denominator_cap_is_read(write, argv):
+    """n = 5, two entries 1 + 1/q over coprime 2000-digit q, 1 elsewhere:
+    a common denominator of about 4000 digits, within the cap."""
+    rng = random.Random("under-cap")
+    q1 = q2 = rng.getrandbits(6643) | 1 << 6642
+    while gcd(q1, q2) != 1:
+        q2 = rng.getrandbits(6643) | 1 << 6642
+    d = [f"{q1 + 1}/{q1}", f"{q2 + 1}/{q2}"] + [1] * 8
+    code, out, err = run_fast(*argv, "--metric", write(json.dumps({"n": 5, "d": d})))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == UNDER_CAP[argv]
 
 
 @pytest.mark.parametrize("command", [("verify-cert",), ("embed", "l1")], ids=["verify-cert", "embed-l1"])

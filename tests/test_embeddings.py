@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutcones.cut_algebra import Cut
 from cutcones.embeddings import (
@@ -12,7 +13,6 @@ from cutcones.embeddings import (
     induced_metric,
     l1_embedding,
     linf_sig_embedding,
-    point_distance,
     verify_isometry,
 )
 from cutcones.fullcut import CutCertificate, certificate_metric
@@ -41,20 +41,6 @@ def cert_of(n, weighted_cuts):
 
 # ---------------------------------------------------------------------------
 # point sets and distances
-
-
-def test_point_distance_both_norms():
-    x = (F(1), F(4), F(0))
-    y = (F(3), F(1), F(2))
-    assert point_distance(x, y, "l1") == 7
-    assert point_distance(x, y, "linf") == 3
-
-
-def test_point_distance_rejects_bad_input():
-    with pytest.raises(ValueError):
-        point_distance((F(1),), (F(1), F(2)), "l1")
-    with pytest.raises(ValueError):
-        point_distance((F(1),), (F(2),), "l2")
 
 
 def test_pointset_validation():
@@ -125,6 +111,34 @@ def test_induced_metric_and_isometry_on_mixed_denominators(norm):
     )
     assert len(report.mismatches) == 3
     assert all(type(got) is F for _, got, _ in report.mismatches)
+
+
+@st.composite
+def point_sets(draw):
+    """Points on n = 2..7 vertices in dimension 0..4, coordinates of both
+    signs over denominators 1..12, and a metric that is the reference
+    distances with a random subset of entries moved by a small fraction."""
+    n = draw(st.integers(2, 7))
+    dim = draw(st.integers(0, 4))
+    coord = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=n, max_size=n))
+    shifts = draw(st.lists(st.sampled_from([F(0), F(0), F(1, 7), F(-1, 3), F(5, 2)]),
+                           min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return draw(st.sampled_from(NORMS)), tuple(points), shifts
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(point_sets())
+def test_induced_metric_and_isometry_match_the_fraction_reference(case):
+    norm, points, shifts = case
+    ps = PointSet(norm=norm, points=points)
+    pairs = vertex_pairs(len(points))
+    want = tuple(fraction_distance(points[i - 1], points[j - 1], norm) for i, j in pairs)
+    assert induced_metric(ps).d == want
+    off = Metric(len(points), tuple(x + s for x, s in zip(want, shifts)))
+    assert verify_isometry(ps, off).mismatches == tuple(
+        (pair, got, x) for pair, got, x in zip(pairs, want, off.d) if got != x
+    )
 
 
 @pytest.mark.parametrize("norm", NORMS)

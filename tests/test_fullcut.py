@@ -64,6 +64,9 @@ def test_certificate_shape_validation():
         CutCertificate(4, (Cut.from_members(4, [1]),), (F(1), F(2)))
     with pytest.raises(ValueError):
         CutCertificate(4, (Cut.from_members(5, [1]),), (F(1),))
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"need at least 2 vertices, got n={n}"):
+            CutCertificate(n, (), ())
 
 
 def test_certificate_metric_half_singletons():

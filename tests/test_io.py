@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutcones import io as cio
 from cutcones.cut_algebra import Cut, RationalMatrix, square_cut_matrix
@@ -118,6 +119,34 @@ def test_parse_rational_matches_the_fraction_str_path(token):
     # digit: Fraction(str) rejects it, while "\u0663" (Arabic-Indic three)
     # is a decimal digit and parses as 3
     assert _outcome(parse_rational, token) == _outcome(_parse_by_fraction_str, token)
+
+
+TOKENS = st.one_of(
+    st.integers(),
+    st.integers(-10**50, 10**50).map(str),
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-3, 10**6)).map(lambda pq: "%d/%d" % pq),
+    st.fractions(),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.text(alphabet="0123456789-+/ .eE_x\u0663\u00b2", max_size=10),
+    st.sampled_from([
+        True, False, None, 1.5, [1], {"p": 1},
+        "9" * MAX_TOKEN_DIGITS, "9" * (MAX_TOKEN_DIGITS + 1), "1/" + "3" * (MAX_TOKEN_DIGITS - 2),
+        "1e%d" % MAX_DECIMAL_EXPONENT, "1e%d" % (MAX_DECIMAL_EXPONENT + 1),
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(TOKENS)
+def test_documents_read_every_token_as_parse_rational_does(token):
+    """A metric entry and a certificate weight read through the same
+    token function: parse_rational's value, or its error text."""
+    metric = _outcome(lambda t: metric_from_json({"n": 2, "d": [t]}).d[0], token)
+    weight = _outcome(
+        lambda t: certificate_from_json({"n": 2, "cuts": [{"mask": 1, "weight": t}]}).weights[0],
+        token,
+    )
+    assert metric == weight == _outcome(parse_rational, token)
 
 
 def test_parse_rational_non_ascii_digits():
@@ -356,7 +385,9 @@ def test_certificate_document_errors():
     "cuts, n, message",
     [
         ('[{"members": [1, 5, 0], "weight": 1}]', 4, "vertex 5 out of range 1..4"),
-        ('[{"members": [1], "weight": 1}]', 0, "vertex 1 out of range 1..0"),
+        ('[{"members": [1], "weight": 1}]', 0, "need at least 2 vertices, got n=0"),
+        ("[]", 1, "need at least 2 vertices, got n=1"),
+        ("[]", -3, "need at least 2 vertices, got n=-3"),
         ('[{"members": [], "weight": 1}]', 1, "need at least 2 vertices, got n=1"),
         ('[{"mask": 5, "weight": 1}]', 1, "need at least 2 vertices, got n=1"),
         ('[{"mask": 16, "weight": 1}]', 4, "bitmask 0x10 out of range for n=4"),
@@ -368,8 +399,8 @@ def test_certificate_document_errors():
     ],
 )
 def test_certificate_entry_errors_name_the_first_fault(cuts, n, message):
-    """Each entry is checked in turn: its cut (vertices in order, then
-    n, then the mask's range), then its weight."""
+    """n is checked first, then each entry in turn: its cut (vertices
+    in order, then the mask's range), then its weight."""
     with pytest.raises(ValueError, match=re.escape(message)):
         loads_certificate('{"n": %d, "cuts": %s}' % (n, cuts))
 
